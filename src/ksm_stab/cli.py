@@ -40,7 +40,7 @@ from .functionals import (
     stability_verdict,
 )
 from .ksm import KSMData, check_ksm, h_stats
-from .ma_solver import build_subsolution, minimize_ding
+from .ma_solver import DEFAULT_TOL_TV, build_subsolution, minimize_ding
 from .polytope import check_fano
 from .sigma import profile_from_json
 from . import sigma as sigma_mod
@@ -592,7 +592,24 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     sys.stdout.write(report_bytes(report).decode())
+    _warn_unconverged(report)
     return 0
+
+
+def _warn_unconverged(report: dict) -> None:
+    """One stderr line when a Monge-Ampere solve stopped short of its target;
+    the report and the exit code are unchanged."""
+    metric = report["results"].get("metric") if report["task"] == "solve-metric" else None
+    if metric is None or metric["converged"]:
+        return
+    target = report["config"].get("ma_tol")
+    if target is None:
+        target = DEFAULT_TOL_TV[metric["mode"]]
+    print(
+        f"warning: solve-metric did not converge: {metric['iterations']} iterations, "
+        f"residual_tv {metric['residual_tv']:.3e} > target {target:.1e}",
+        file=sys.stderr,
+    )
 
 
 if __name__ == "__main__":

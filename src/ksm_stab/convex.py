@@ -4,10 +4,11 @@ The central object is a convex function u on R^l represented by sampled
 Legendre-dual values u* on a grid over P* (class ``ConvexDualGrid``).  The
 primal function is recovered as u(y) = max over grid nodes z of
 (<y, z> - u*(z)), a piecewise linear convex function, so the integral of
-exp(-u) over R^l has closed-form pieces: exactly per segment in 1D, and via a
-Fubini sweep (exact inner line integrals, adaptive Simpson outer) in 2D.
-Integrals are split into a window part on [-Y, Y]^l and a tail part; the 1D
-tails are exact, the 2D strip tail is a certified per-vertex-cone bound.
+exp(-u) over R^l is a closed form: per segment in 1D, and in 2D per primal
+cell (triangle fans of bounded cells, strips and vertex cones of the
+unbounded ones; Lawrence, Math. Comp. 57, 1991).  Integrals are split into a
+window part on [-Y, Y]^l and a tail part; the 1D tails are exact, the 2D
+tail outside the box is a certified per-vertex-cone bound.
 
 Grid values are the optimization variables of the Monge-Ampere solver; the
 module therefore also provides convexity projection (isotonic regression on
@@ -236,6 +237,19 @@ def dual_grid_geometry(dual: DualPolytope, level: int | None = None) -> DualGrid
     return geom
 
 
+def _face_incidence(geom: DualGridGeometry) -> np.ndarray:
+    """on_face[i, f]: node i lies on the edge <normal_array[f], z> = 1 of P*
+    (decided exactly on the rational nodes)."""
+    if "faces" not in geom._cache:
+        geom._cache["faces"] = np.array(
+            [
+                [sum(n * x for n, x in zip(nrm, z)) == rhs for nrm, rhs in geom.dual.half_spaces]
+                for z in geom.nodes_exact
+            ]
+        )
+    return geom._cache["faces"]
+
+
 # ---------------------------------------------------------------------------
 # exact 1D piecewise-linear exponential integrals
 # ---------------------------------------------------------------------------
@@ -249,6 +263,58 @@ def _segment_exp_mass(u_lo, u_hi, width):
     if abs(d) < 1e-12:
         return width * np.exp(-u_lo) * (1.0 - d / 2.0)
     return width * np.exp(-u_lo) * (-np.expm1(-d)) / d
+
+
+def _cross(a, b):
+    """Row-wise 2D determinant det(a_k, b_k)."""
+    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+
+
+def _exp_neg_dd1(a, b):
+    """int_0^1 exp(-(a + s (b - a))) ds elementwise, i.e. minus the first
+    divided difference of exp(-x); exact for coinciding a and b."""
+    lo = np.minimum(a, b)
+    d = np.abs(b - a)
+    safe = np.where(d > 0, d, 1.0)
+    return np.exp(-lo) * np.where(d > 0, -np.expm1(-safe) / safe, 1.0)
+
+
+_DD2_TAYLOR_SPREAD = 0.5
+_DD2_TAYLOR_TERMS = 16
+
+
+def _exp_neg_dd2(a, b, c):
+    """Second divided difference exp(-x)[a, b, c] elementwise.
+
+    This is the integral of exp(-(l0 a + l1 b + l2 c)) over the unit simplex
+    (Hermite-Genocchi), so a triangle T with vertex values a, b, c of an
+    affine L carries int_T exp(-L) = 2|T| exp(-x)[a, b, c].  With the values
+    sorted, lo <= lo + p <= lo + q, the divided-difference recursion
+    (dd1(0, p) - dd1(p, q)) / q loses digits like 1/q as the spread q
+    shrinks; below ``_DD2_TAYLOR_SPREAD`` the series
+    sum_n (-1)^n h_n(0, p, q) / (n + 2)! is used instead (h_n the complete
+    homogeneous polynomial), which also covers coinciding values.
+    """
+    x = np.sort(np.array([a, b, c], dtype=float), axis=0)
+    lo, p, q = x[0], x[1] - x[0], x[2] - x[0]
+    out = np.empty_like(lo)
+    small = q < _DD2_TAYLOR_SPREAD
+    if np.any(~small):
+        pb, qb = p[~small], q[~small]
+        out[~small] = (_exp_neg_dd1(0.0, pb) - _exp_neg_dd1(pb, qb)) / qb
+    if np.any(small):
+        ps, qs = p[small], q[small]
+        h = np.ones_like(ps)
+        p_pow = np.ones_like(ps)
+        term_scale = 0.5
+        acc = 0.5 * h
+        for n in range(1, _DD2_TAYLOR_TERMS):
+            p_pow = p_pow * ps
+            h = qs * h + p_pow
+            term_scale /= -(n + 2)
+            acc = acc + term_scale * h
+        out[small] = acc
+    return np.exp(-lo) * out
 
 
 def pl_exp_integral_1d(slopes, intercepts, window=None, node_ids=None):
@@ -446,7 +512,12 @@ class ConvexDualGrid:
         return res
 
     def _lower_hull_2d(self):
-        """Indices of active nodes and lower-hull facets of (z, u*)."""
+        """Lower hull of the points (z, u*): (active node indices, facet
+        node triples (F, 3), facet gradients y_T (F, 2), u(y_T) (F,)).
+
+        Each facet is the graph of z -> <y_T, z> - u(y_T) over its triangle,
+        so y_T is the primal vertex where the facet's nodes tie.
+        """
         key = ("hull", self.values.tobytes())
         cache = self.geom._cache.setdefault("hulls", {})
         if key in cache:
@@ -459,12 +530,13 @@ class ConvexDualGrid:
         )
         hull = ConvexHull(np.vstack([pts, apex]))
         m = self.geom.n_nodes
-        facets = []
-        for simplex, eq in zip(hull.simplices, hull.equations):
-            if eq[2] < -1e-12 and m not in simplex:  # lower facet, apex-free
-                facets.append((tuple(int(i) for i in simplex), eq))
-        active = sorted({i for f, _ in facets for i in f})
-        out = (np.array(active), facets)
+        lower = (hull.equations[:, 2] < -1e-12) & ~np.any(hull.simplices == m, axis=1)
+        simplices = hull.simplices[lower]
+        eq = hull.equations[lower]
+        ys = -eq[:, :2] / eq[:, 2:3]
+        i0 = simplices[:, 0]
+        us = np.einsum("ij,ij->i", ys, self.nodes[i0]) - self.values[i0]
+        out = (np.unique(simplices), simplices, ys, us)
         if len(cache) > 8:
             cache.clear()
         cache[key] = out
@@ -505,14 +577,16 @@ class ConvexDualGrid:
 
     # -- exp(-u) integrals --------------------------------------------------
 
-    def exp_integral(self, *, full: bool = False, outer_tol: float = 1e-8) -> dict:
+    def exp_integral(self, *, full: bool = False) -> dict:
         """Integral of exp(-u) over R^l split into window and tail parts.
 
-        1D both parts are exact closed forms.  2D integrates the strip
-        |y_2| <= Y with exact inner line integrals and an adaptive Simpson
-        sweep, and adds a certified per-vertex-cone bound for the rest.
-        Raises WindowTooSmallError when the tail exceeds the allowed fraction
-        of the window part (skipped with ``full=True``).
+        The total and the per-node cell masses are exact closed forms (1D:
+        ``pl_exp_integral_1d``; 2D: ``exp_cell_masses``).  The 1D tail is
+        exact; the 2D tail outside the box [-Y, Y]^2 is a certified
+        per-vertex-cone bound and the window part is total - tail.  Masses
+        are proportional to the true exp(-u) cell masses.  Raises
+        WindowTooSmallError when the tail exceeds the allowed fraction of the
+        window part (skipped with ``full=True``).
         """
         if self.dimension == 1:
             res = self._envelope_1d()
@@ -525,7 +599,7 @@ class ConvexDualGrid:
                 "masses": res["masses"],
             }
         else:
-            out = self._exp_integral_2d(outer_tol)
+            out = self._exp_integral_2d()
         if not full and out["tail_fraction"] > TAIL_FRACTION_LIMIT:
             raise WindowTooSmallError(
                 f"tail bound fraction {out['tail_fraction']:.3e} exceeds "
@@ -533,42 +607,80 @@ class ConvexDualGrid:
             )
         return out
 
-    def _strip_sweep(self, n_outer: int):
-        """Composite-Simpson sweep over y2 in [-Y, Y] with exact inner
-        integrals, combined in log space (positive Simpson weights)."""
-        act = self.active_nodes()
-        Z, V = self.nodes[act], self.values[act]
-        ys = np.linspace(-self.window, self.window, n_outer + 1)
-        w = np.ones(n_outer + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= (ys[1] - ys[0]) / 3.0
-        log_terms = np.empty(n_outer + 1)
-        fracs = np.empty((n_outer + 1, len(act)))
-        for i, (y2, wy) in enumerate(zip(ys, w)):
-            res = pl_exp_integral_1d(Z[:, 0], V - Z[:, 1] * y2, node_ids=act)
-            log_terms[i] = math.log(wy) + res["log_total"]
-            m = res["masses"]
-            fracs[i] = m / np.sum(m)
-        mx = float(np.max(log_terms))
-        scaled = np.exp(log_terms - mx)
-        log_window = mx + math.log(float(np.sum(scaled)))
-        masses = np.zeros(self.geom.n_nodes)
-        masses[act] = scaled @ fracs  # proportional to the true cell masses
-        return log_window, masses
+    def exp_cell_masses(self):
+        """Exact log int_{R^2} exp(-u) and the exp(-u) mass of every primal cell.
 
-    def _exp_integral_2d(self, outer_tol: float = 1e-8) -> dict:
-        # the outer integrand has kinks where the primal cell complex crosses
-        # the sweep line, so composite Simpson converges like n^-3; loose
-        # tolerances (solver gradients) stop the doubling early
-        n = 128
-        prev, masses = self._strip_sweep(n)
-        while True:
-            n *= 2
-            cur, masses = self._strip_sweep(n)
-            if abs(cur - prev) <= outer_tol or n >= 4096:
-                break
-            prev = cur
+        u is the max of the affine pieces L_i(y) = <y, z_i> - u*_i, and the
+        cell of node i is a polygon with the lower-hull gradients y_T as
+        vertices, unbounded along the normal cone of P* at z_i (Lawrence's
+        vertex-cone decomposition).  Per hull edge (i, j) shared by facets T
+        and T':
+
+        * an interior node i gets the triangle (c_i, y_T, y_T'), c_i the mean
+          of its y_T, carrying |det| * exp(-x)[L(c_i), u(y_T), u(y_T')];
+        * a node on the P* edge <b, z> = 1 gets the flux of exp(-L_i) b
+          through the segment, |det(y_T' - y_T, b)| int_0^1 exp(-L_i).  On
+          the cell L_i rises along b with slope <b, z_i> = 1, so the strip
+          swept along b carries exactly this mass;
+        * at a P* vertex node the ray of the other edge b' adds the cone
+          |det(b', b)| exp(-u(y_T)).
+
+        Exponents are shifted by s0 = min u(y_T) = min u.  Returns
+        (log_total, masses, s0): sum(masses) * exp(-s0) is the total, as for
+        ``pl_exp_integral_1d``.
+        """
+        if self.dimension != 2:
+            raise ValueError("exp_cell_masses is the 2D route")
+        _, simplices, ys, us = self._lower_hull_2d()
+        on_face, normals = _face_incidence(self.geom), self.dual.normal_array
+        m = self.geom.n_nodes
+        s0 = float(np.min(us))
+        w = us - s0
+        boundary = on_face.any(axis=1)
+        b = normals[np.argmax(on_face, axis=1)] * boundary[:, None]
+
+        # hull edges sorted by endpoint pair: pairs shared by two facets are
+        # segments between two cells, single ones lie on the boundary of P*
+        edges = np.sort(
+            np.concatenate([simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [2, 0]]]),
+            axis=1,
+        )
+        facet = np.tile(np.arange(len(simplices)), 3)
+        key = edges[:, 0] * m + edges[:, 1]
+        order = np.argsort(key, kind="stable")
+        key, edges, facet = key[order], edges[order], facet[order]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        count = np.diff(np.r_[first, len(key)])
+        inner, outer = first[count == 2], first[count == 1]
+        shared_face = on_face[edges[outer, 0]] & on_face[edges[outer, 1]]
+        if np.any(count > 2) or not np.all(shared_face.any(axis=1)):
+            raise RuntimeError("lower hull is not a triangulation of P*")
+
+        # each shared hull edge is the segment [y_T, y_T'] in the boundary
+        # of the cells of both its endpoints
+        node = edges[inner].T.ravel()
+        t, t2 = np.tile(facet[inner], 2), np.tile(facet[inner + 1], 2)
+        A, B = ys[t], ys[t2]
+        incident = simplices.ravel()
+        cnt = np.maximum(np.bincount(incident, minlength=m), 1)
+        centre = np.column_stack(
+            [np.bincount(incident, np.repeat(ys[:, k], 3), minlength=m) / cnt for k in range(2)]
+        )[node]
+        w_centre = (np.bincount(incident, np.repeat(w, 3), minlength=m) / cnt)[node]
+        fan = np.abs(_cross(A - centre, B - centre)) * _exp_neg_dd2(w_centre, w[t], w[t2])
+        strip = np.abs(_cross(B - A, b[node])) * _exp_neg_dd1(w[t], w[t2])
+        cells = np.bincount(node, np.where(boundary[node], strip, fan), minlength=m)
+
+        # each boundary hull edge is a ray along its P* edge normal
+        ray = normals[np.argmax(shared_face, axis=1)]
+        ends = edges[outer].T.ravel()
+        cone = np.abs(_cross(np.tile(ray, (2, 1)), b[ends])) * np.exp(-np.tile(w[facet[outer]], 2))
+        masses = cells + np.bincount(ends, cone, minlength=m)
+        log_total = math.log(float(np.sum(masses))) - s0
+        return log_total, masses, s0
+
+    def _exp_integral_2d(self) -> dict:
+        log_total, masses, _ = self.exp_cell_masses()
         # tail bound per vertex cone: on the normal cone of a dual vertex p,
         # u(y) >= <y, p> - u*(p) = v(y) - u*(p), and outside the window box
         # v >= M, so the cone contributes at most e^{u*(p)} (1+M) e^{-M}
@@ -577,15 +689,17 @@ class ConvexDualGrid:
         mx = float(np.max(u_at_vertices))
         log_sum = mx + math.log(float(np.sum(np.exp(u_at_vertices - mx))))
         log_tail = log_sum + math.log(1.0 + M) - M
-        tail_fraction = math.exp(log_tail - cur)
-        log_total = cur + math.log1p(tail_fraction)
+        tail_share = math.exp(min(log_tail - log_total, 0.0))
         with np.errstate(over="ignore", under="ignore"):
+            total = float(np.exp(log_total))
             out = {
-                "total": float(np.exp(log_total)),
+                "total": total,
                 "log_total": log_total,
-                "window": float(np.exp(cur)),
+                "window": total * (1.0 - tail_share),
                 "tail": float(np.exp(log_tail)),
-                "tail_fraction": tail_fraction,
+                "tail_fraction": (
+                    tail_share / (1.0 - tail_share) if tail_share < 1.0 else math.inf
+                ),
                 "masses": masses,
             }
         return out
@@ -650,18 +764,8 @@ class ConvexDualGrid:
             # nodes outside [min sa, max sa] keep their raw value
             out = np.where((z >= sa[0]) & (z <= sa[-1]), vals, self.values)
             return out
-        act, facets = self._lower_hull_2d()
-        ys, uys = [], []
-        for simplex, eq in facets:
-            a, bcoef, c, d = eq
-            yT = np.array([-a / c, -bcoef / c])
-            i0 = simplex[0]
-            uT = float(yT @ self.nodes[i0] - self.values[i0])
-            ys.append(yT)
-            uys.append(uT)
-        ys = np.array(ys)
-        uys = np.array(uys)
-        return np.max(self.nodes @ ys.T - uys, axis=1)
+        _, _, ys, us = self._lower_hull_2d()
+        return np.max(self.nodes @ ys.T - us, axis=1)
 
     def is_psh_b(self, bound: float) -> bool:
         """PSH_b membership flag: |u - v_{P*}| stays within ``bound`` on the

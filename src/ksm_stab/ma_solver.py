@@ -4,10 +4,11 @@ The equation g(grad u) det(Hess u) = exp(-u) is solved by minimizing the Ding
 functional over dual grid values.  In nodal coordinates the gradient of D is
 the mismatch of two probability vectors: the g-weighted hat masses of the
 grid against the exp(-u) masses of the primal linearity cells, so the
-stopping rule is exactly the Alexandrov residual in total variation.  The 1D
-path uses a damped Newton direction assembled from the exact
+stopping rule is exactly the Alexandrov residual in total variation.  Both
+the log term and the cell masses are exact closed forms, in 1D and 2D.  The
+1D path uses a damped Newton direction assembled from the exact
 tridiagonal-plus-rank-one Hessian of the log term (breakpoint fluxes); 2D
-falls back to projected subgradient descent with Armijo backtracking.
+uses projected gradient descent with Armijo backtracking.
 
 Verification channels: the Alexandrov measure of the solution (cell masses
 against exp(-u)), the dual-side ODE residual w'' = g e^{z w' - w} in 1D, and
@@ -39,6 +40,10 @@ __all__ = [
     "ode_residual_1d",
     "build_subsolution",
 ]
+
+
+# default Alexandrov TV tolerance per solution mode
+DEFAULT_TOL_TV = {"uniform": 1e-4, "non_uniform": 1e-3}
 
 
 class UnstableInputError(ValueError):
@@ -214,8 +219,9 @@ def minimize_ding(
     if not verdict.polystable:
         raise UnstableInputError(verdict)
     non_uniform = verdict.boundary_touching
+    mode = "non_uniform" if non_uniform else "uniform"
     if tol_tv is None:
-        tol_tv = 1e-3 if non_uniform else 1e-4
+        tol_tv = DEFAULT_TOL_TV[mode]
 
     u = init if init is not None else initial_grid(fn, level=level, window=window)
     u = u.convexify()
@@ -250,7 +256,7 @@ def minimize_ding(
         shift=shift,
         iterations=it,
         converged=converged,
-        mode="non_uniform" if non_uniform else "uniform",
+        mode=mode,
         regularity=reg,
     )
 
@@ -306,43 +312,35 @@ def _minimize_1d(u, what, tol_tv, max_iter):
 
 
 def _minimize_2d(u, what, tol_tv, max_iter):
-    """Projected gradient on a fixed-resolution sweep discretization.
-
-    A fixed outer Simpson resolution makes the objective a consistent smooth
-    function of the nodal values (adaptive sweeps would feed the line search
-    resolution-dependent noise); the returned residual is re-evaluated with
-    the accurate adaptive sweep.
-    """
-    n_sweep = 1024
+    """Projected gradient descent with Armijo backtracking on the exact
+    objective: log int exp(-u) and the cell masses come from
+    ``exp_cell_masses``, so the residual that stops the loop is the one
+    returned."""
 
     def objective(g):
-        log_window, masses = g._strip_sweep(n_sweep)
-        return float(what @ g.values) - log_window, masses
+        log_total, masses, _ = g.exp_cell_masses()
+        return float(what @ g.values) - log_total, masses / float(np.sum(masses))
 
     cur = u
-    D, masses = objective(cur)
+    D, mhat = objective(cur)
     step = 1.0
     it = 0
     for it in range(1, max_iter + 1):
-        mhat = masses / float(np.sum(masses))
         grad = what - mhat
-        tv_disc = 0.5 * float(np.abs(grad).sum())
-        if tv_disc <= 0.5 * tol_tv:
+        if 0.5 * float(np.abs(grad).sum()) <= tol_tv:
             break
         accepted = False
         for _ in range(40):
             cand = cur.with_values(cur.values - step * grad).convexify()
             D_c, m_c = objective(cand)
             if D_c <= D - 1e-4 * step * float(grad @ grad):
-                cur, D, masses = cand, D_c, m_c
+                cur, D, mhat = cand, D_c, m_c
                 accepted = True
                 step *= 1.4
                 break
             step *= 0.5
         if not accepted:
             break
-    res = cur.exp_integral(full=True)
-    mhat = res["masses"] / float(np.sum(res["masses"]))
     grad = what - mhat
     tv = 0.5 * float(np.abs(grad).sum())
     sup = float(np.max(np.abs(grad)))
@@ -444,22 +442,21 @@ def alexandrov_measure(u: ConvexDualGrid, fn: Functionals) -> AlexandrovMeasure:
         Ge = np.interp(edges, zs, G)
         masses = np.diff(Ge) / V
         return AlexandrovMeasure(points=ys, masses=masses)
-    act, facets = u._lower_hull_2d()
-    pts, masses = [], []
+    _, simplices, ys, _ = u._lower_hull_2d()
     from .polytope import _reference_rule
 
     ref_nodes, ref_w = _reference_rule(2, 10)
-    for simplex, eq in facets:
-        a, b, c, d = eq
-        yT = np.array([-a / c, -b / c])
-        tri = u.nodes[list(simplex)]
-        J = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-        detJ = abs(float(np.linalg.det(J)))
-        nodes = ref_nodes @ J.T + tri[0]
-        m = float((ref_w * detJ) @ g_values(fn.data, fn.profile, fn.field, nodes))
-        pts.append(yT)
-        masses.append(m / V)
-    return AlexandrovMeasure(points=np.array(pts), masses=np.array(masses))
+    tri = u.nodes[simplices]  # (F, 3, 2)
+    e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    detJ = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    nodes = (
+        tri[:, None, 0]
+        + ref_nodes[None, :, 0:1] * e1[:, None]
+        + ref_nodes[None, :, 1:2] * e2[:, None]
+    )
+    gv = g_values(fn.data, fn.profile, fn.field, nodes.reshape(-1, 2))
+    masses = detJ * (gv.reshape(len(tri), -1) @ ref_w)
+    return AlexandrovMeasure(points=ys.copy(), masses=masses / V)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,25 @@ class TestRun:
         assert main(["stability", "--ksm", "no-such-dataset"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unconverged_solve_warns_on_stderr(self, capsys):
+        base = ["solve-metric", "--ksm", "p1-fiber", "--c", "0", "--level", "3"]
+        assert main(base) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["results"]["metric"]["converged"]
+        assert captured.err == ""
+        # a target below double precision cannot be met: same exit code and
+        # report, plus one stderr line naming iterations, residual and target
+        assert main(base + ["--ma-tol", "1e-17"]) == 0
+        captured = capsys.readouterr()
+        metric = json.loads(captured.out)["results"]["metric"]
+        assert not metric["converged"]
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0] == (
+            f"warning: solve-metric did not converge: {metric['iterations']} iterations, "
+            f"residual_tv {metric['residual_tv']:.3e} > target 1.0e-17"
+        )
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from ksm_stab.convex import (
     PLConvex,
     WindowTooSmallError,
+    _exp_neg_dd2,
     grid_from_values,
     pl_exp_integral_1d,
     support_grid,
@@ -77,6 +78,78 @@ class TestExpIntegral1D:
         assert res["tail"] == pytest.approx(2 * np.exp(-10.0), rel=1e-12)
 
 
+def _dd2_oracle(a, b, c):
+    """exp(-x)[a, b, c] in 50-digit arithmetic, with the confluent forms."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        a, b, c = sorted(mp.mpf(x) for x in (a, b, c))
+        f = lambda x: mp.exp(-x)
+        if a == c:
+            return f(a) / 2
+        if a == b or b == c:
+            p, q = (a, c) if a == b else (c, a)  # p double, q single
+            # f[p, p, q] = (f[p, q] - f'(p)) / (q - p)
+            return ((f(q) - f(p)) / (q - p) + f(p)) / (q - p)
+        return (
+            f(a) / ((a - b) * (a - c)) + f(b) / ((b - a) * (b - c)) + f(c) / ((c - a) * (c - b))
+        )
+
+
+class TestExpIntegral2D:
+    def test_divided_difference_against_mpmath(self):
+        cases = [(0.3, 0.3, 0.3), (-2.0, -2.0, -2.0), (1.0, 1.0, 1.5), (1.0, 4.0, 4.0)]
+        rng = np.random.default_rng(11)
+        for spread in (1e-9, 1e-6, 1e-3, 0.1, 0.49, 0.51, 2.0, 30.0, 700.0):
+            for _ in range(3):
+                lo = rng.uniform(-5, 5)
+                mid = lo + spread * rng.uniform()
+                cases.append(tuple(rng.permutation([lo, mid, lo + spread])))
+            cases.append((lo, lo, lo + spread))
+            cases.append((lo, lo + spread, lo + spread))
+        a, b, c = (np.array(v) for v in zip(*cases))
+        got = _exp_neg_dd2(a, b, c)
+        for k, case in enumerate(cases):
+            assert got[k] == pytest.approx(float(_dd2_oracle(*case)), rel=1e-13, abs=0), case
+
+    @pytest.mark.parametrize("name", ["P2-fiber", "square-fiber"])
+    def test_cells_against_line_integral_oracle(self, request, name):
+        """Total and every normalized cell mass of seeded random grid-convex
+        data against quad over y2 of the exact 1D line integrals."""
+        data = request.getfixturevalue(name.replace("-", "_").replace("P2_fiber", "p2_fiber"))
+        rng = np.random.default_rng(2024)
+        g = grid_from_values(
+            data.dual(),
+            lambda zs: rng.normal(size=zs.shape[0]) + np.sum(zs**2, axis=1),
+            level=4,
+        ).convexify()
+        res = g.exp_integral(full=True)
+        act, _, ys, _ = g._lower_hull_2d()
+        Z, V = g.nodes[act], g.values[act]
+        memo = {}
+
+        def line_masses(y2):
+            # true exp(-u) masses of every node along the line {y_2 = y2}
+            if y2 not in memo:
+                r = pl_exp_integral_1d(Z[:, 0], V - Z[:, 1] * y2)
+                memo[y2] = r["masses"] * np.exp(-r["mass_log_scale"])
+            return memo[y2]
+
+        kinks = sorted(set(ys[:, 1]))
+        lo, hi = kinks[0] - 1.0, kinks[-1] + 1.0
+        oracle = np.zeros(g.geom.n_nodes)
+        for k, node in enumerate(act):
+            f = lambda y2: line_masses(y2)[k]
+            oracle[node] = (
+                quad(f, -np.inf, lo, epsabs=0, epsrel=1e-13)[0]
+                + quad(f, lo, hi, points=kinks, limit=500, epsabs=0, epsrel=1e-13)[0]
+                + quad(f, hi, np.inf, epsabs=0, epsrel=1e-13)[0]
+            )
+        assert res["total"] == pytest.approx(oracle.sum(), rel=1e-9)
+        mhat = res["masses"] / res["masses"].sum()
+        assert mhat == pytest.approx(oracle / oracle.sum(), rel=1e-8, abs=1e-15)
+
+
 class TestConvexDualGrid:
     def test_support_grid_is_support_function(self, p2_fiber):
         g = support_grid(p2_fiber.dual())
@@ -88,7 +161,8 @@ class TestConvexDualGrid:
     def test_vertex_count_identity(self, request, name, n0):
         data = request.getfixturevalue(name.replace("-", "_").replace("P2_fiber", "p2_fiber"))
         res = support_grid(data.dual()).exp_integral()
-        assert res["total"] == pytest.approx(n0, abs=1e-6)
+        # every smooth vertex cone contributes exactly 1
+        assert res["total"] == pytest.approx(n0, rel=1e-12)
 
     def test_product_case_integral(self, p1_fiber):
         g = grid_from_values(p1_fiber.dual(), lambda zs: product_oracle_dual_values(zs[:, 0]))

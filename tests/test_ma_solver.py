@@ -234,6 +234,21 @@ class Test2DSolve:
         res = sol.u.exp_integral(full=True)
         assert res["total"] == pytest.approx(fn.gstats.volume_g, rel=1e-2)
 
+    @pytest.mark.parametrize("name", ["P2-fiber", "square-fiber"])
+    def test_default_tolerance_converges(self, request, name):
+        # exact cell masses let projected gradient reach the default 1e-4
+        data = request.getfixturevalue(name.replace("-", "_").replace("P2_fiber", "p2_fiber"))
+        fld = normalize_field([0, 0], h_stats(data), data.dual())
+        fn = Functionals(data, sg.constant(0.0), fld)
+        sol = minimize_ding(fn, level=4, max_iter=300)
+        assert sol.converged
+        assert sol.residual_tv <= 1e-4
+        # the returned residual is the exact mismatch of the returned potential
+        res = sol.u.exp_integral(full=True)
+        wg = fn.hat_weights(sol.u.geom, "g")
+        tv = 0.5 * np.abs(wg / wg.sum() - res["masses"] / res["masses"].sum()).sum()
+        assert tv == pytest.approx(sol.residual_tv, rel=1e-9)
+
 
 class TestIndependentODEOracle:
     def test_z1_solution_tracks_ivp(self, z1_soliton_fn, z1_solution):
