@@ -6,18 +6,13 @@ config (``--config`` or inline flags), produces a deterministic JSON report
 (no timestamps, fixed summation orders) and optional CSV plot data.  Exit
 code 0 means the computation finished, whatever the mathematical verdict;
 nonzero means the run itself failed.
-
-The environment variable ``KSM_STAB_THREADS`` caps the thread pool used for
-independent sample evaluations (probe tables, reproduction sweeps).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,23 +55,6 @@ SCHEMA = "ksm-stab-report/1"
 
 class ConfigError(ValueError):
     pass
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("KSM_STAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    """Deterministic map, threaded when KSM_STAB_THREADS > 1."""
-    items = list(items)
-    n = _threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +275,7 @@ def _task_geodesic(cfg, out):
             return D0
         return fn.ding(fn.geodesic_point(u0, phi, t))
 
-    Ds = _parallel_map(at, ts)
+    Ds = [at(t) for t in ts]
     rows = [
         (t, D, (D - D0) / t if t > 0 else float("nan")) for t, D in zip(ts, Ds)
     ]
@@ -371,10 +349,7 @@ def _reproduce_z1(cfg, out):
     data = load_dataset("Z1")
     taus = [0.0, 0.25, 0.5, 0.75, 1.0]
 
-    def solve(tau):
-        return solve_path_1d(data, tau)
-
-    reports = _parallel_map(solve, taus)
+    reports = [solve_path_1d(data, tau) for tau in taus]
     lo, hi = path_interval_1d(data)
     rows = []
     for tau, rep in zip(taus, reports):

@@ -11,11 +11,15 @@ Ding functional D(u) = (1/|P*|_g) int u* g - log int exp(-u), Ding invariants
 of piecewise linear test data, the reduced J functionals, toric geodesics and
 coercivity probes.
 
-When the field touches the admissible boundary (k_min = alpha with sigma
-blowing up there), g vanishes on a face of P* like (k - alpha)^e; the 1D
-integrators then switch to Gauss-Jacobi rules with the singular factor as
-weight, which restores spectral accuracy that uniform refinement cannot
-deliver on such integrands.
+Every g-weighted integral -- g-moments, hat-function weights, PL integrals,
+Alexandrov masses -- is int_S p(z) h(z) f(k(z)) dz over simplices S with p a
+polynomial and f = exp(-sigma), and goes through ``simplex_g_integrals``: k
+is affine, so the integral is one-dimensional in t = k(z) with a piecewise
+polynomial weight (Duistermaat-Heckman), integrated by a fixed Gauss rule
+per t-piece.  When the field touches the admissible boundary (k_min = alpha
+with sigma blowing up there), g vanishes on a face of P* like (k - alpha)^e,
+and the t-piece starting at alpha carries a Gauss-Jacobi rule with that
+weight.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -34,7 +39,7 @@ from .convex import (
     grid_from_values,
 )
 from .ksm import HStats, KSMData, h_stats, h_values
-from .polytope import DualPolytope, QuadratureError, integrate
+from .polytope import DualPolytope, _reference_rule
 from .sigma import SigmaProfile
 
 __all__ = [
@@ -46,6 +51,7 @@ __all__ = [
     "field_from_json",
     "g_weight",
     "g_stats",
+    "simplex_g_integrals",
     "stability_verdict",
     "Functionals",
 ]
@@ -234,75 +240,173 @@ def g_weight(data: KSMData, profile: SigmaProfile, field: FiberField, z) -> floa
     return float(g_values(data, profile, field, zz.reshape(1, -1))[0])
 
 
-@dataclass(frozen=True)
-class _Singular1D:
-    """g = (k - alpha)^e * regular with the zero at dual vertex +-1 (1D)."""
-
-    side: int  # +1: zero at z = 1, -1: zero at z = -1
-    exponent: float
-    scale: float  # |c|, from k - alpha = |c| (1 -+ z)
+OUTER_POINTS = 32  # Gauss points per t-piece of the pushforward rule
 
 
-def _singularity_1d(data, profile, field) -> _Singular1D | None:
-    if data.fiber_dimension != 1 or profile.boundary_exponent is None:
-        return None
-    dual = data.dual()
-    bi = boundary_vertex(field, profile, dual)
-    if bi is None:
-        return None
-    zv = float(dual.vertices[bi][0])
-    return _Singular1D(
-        side=1 if zv > 0 else -1,
-        exponent=float(profile.boundary_exponent),
-        scale=abs(field.coeffs[0]),
-    )
+@lru_cache(maxsize=64)
+def _gauss01(n: int, e: float = 0.0):
+    """n-point Gauss rule on [0, 1] for the weight s^e (Legendre when e = 0)."""
+    x, w = leggauss(n) if e == 0.0 else roots_jacobi(n, 0.0, e)
+    s, ws = (x + 1.0) / 2.0, w / 2.0 ** (e + 1.0)
+    s.setflags(write=False)
+    ws.setflags(write=False)
+    return s, ws
 
 
-def _gauss_jacobi_rule(n: int, a: float, b: float):
-    x, w = roots_jacobi(n, a, b)
-    return x, w
+def _ragged(counts: np.ndarray):
+    """Owner and rank within the owner of every item of ragged groups."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, rank
 
 
-def _integral_singular_1d(fn_regular, sing: _Singular1D, *, tol=1e-13, n0=48, nmax=400):
-    """int_{-1}^1 (1 -+ z)^e * fn_regular(z) dz via adaptive Gauss-Jacobi."""
-    a, b = (sing.exponent, 0.0) if sing.side > 0 else (0.0, sing.exponent)
-    n = n0
-    x, w = _gauss_jacobi_rule(n, a, b)
-    prev = float(w @ fn_regular(x))
-    while True:
-        n = int(n * 1.6)
-        x, w = _gauss_jacobi_rule(n, a, b)
-        cur = float(w @ fn_regular(x))
-        if abs(cur - prev) <= tol * (1.0 + abs(cur)) or n >= nmax:
-            return cur
-        prev = cur
+def _cones(V: np.ndarray, kv: np.ndarray):
+    """Split simplices with non-constant k into cones over a level set of k.
 
-
-def g_integral(data, profile, field, poly_fn, *, tol=None):
-    """int_{P*} poly_fn(z) g(z) dz with singularity-aware 1D quadrature.
-
-    ``poly_fn`` maps an (m, l) batch to (m,) values and must be smooth.
+    A cone has an apex a and a base segment [a + e0, a + e0 + e1] on which k
+    is constant, so z = a + s (e0 + r e1) with (s, r) in [0, 1]^2 covers it
+    with area element vol * s^(l-1) ds dr and k = k_apex + s dk.  An
+    interval is one cone (e1 = 0); a triangle splits at the level of its
+    middle vertex into a cone on its lowest and one on its highest vertex.
+    Returns (simplex index, apex, e0, e1, vol, k_apex, dk) per cone.
     """
-    dual = data.dual()
-    sing = _singularity_1d(data, profile, field)
-    if sing is None:
-        return integrate(
-            dual,
-            lambda zs: poly_fn(zs) * g_values(data, profile, field, zs),
-            tol=tol,
-        )
+    sid = np.arange(len(V))
+    if V.shape[2] == 1:
+        e0 = V[:, 1] - V[:, 0]
+        return sid, V[:, 0], e0, np.zeros_like(e0), np.abs(e0[:, 0]), kv[:, 0], kv[:, 1] - kv[:, 0]
+    order = np.argsort(kv, axis=1)
+    A, B, C = (np.take_along_axis(V, order[:, i, None, None], 1)[:, 0] for i in range(3))
+    k0, k1, k2 = (np.take_along_axis(kv, order[:, i, None], 1)[:, 0] for i in range(3))
+    P = A + ((k1 - k0) / (k2 - k0))[:, None] * (C - A)  # level-k1 point on edge AC
+    apex = np.concatenate([A, C])
+    e0 = np.concatenate([B - A, B - C])
+    e1 = np.tile(P - B, (2, 1))
+    vol = np.abs(e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0])
+    keep = vol > 0
+    kap = np.concatenate([k0, k2])
+    dk = np.concatenate([k1 - k0, k1 - k2])
+    return tuple(x[keep] for x in (np.tile(sid, 2), apex, e0, e1, vol, kap, dk))
 
-    def regular(x):
-        zs = x.reshape(-1, 1)
-        k = field.k_values(zs)
-        return (
-            poly_fn(zs)
-            * h_values(data, zs)
-            * profile.f_regular(k)
-            * sing.scale**sing.exponent
-        )
 
-    return _integral_singular_1d(regular, sing, tol=tol or 1e-13)
+def _outer_rule(profile: SigmaProfile, kap: np.ndarray, dk: np.ndarray):
+    """Gauss rule in s for int_0^1 q(s) f(k_apex + s dk) ds on every cone.
+
+    Pieces break at the sample abscissae of custom profiles.  For a profile
+    vanishing like (t - alpha)^e, the piece that starts at alpha carries
+    Gauss-Jacobi with that weight, and a cone that only comes close to alpha
+    is cut geometrically toward it (every piece at least as far from alpha
+    as it is wide), where a fixed Legendre rule converges like
+    (1 + sqrt(2 delta / width))^(-2n).  Returns (cone, s, weight * f).
+    """
+    n_cones = len(kap)
+    tlo, thi = np.minimum(kap, kap + dk), np.maximum(kap, kap + dk)
+    near = np.where(dk > 0, 0.0, 1.0)  # the end of [0, 1] where k is lowest
+    cone = [np.arange(n_cones), np.arange(n_cones)]
+    s_br = [np.zeros(n_cones), np.ones(n_cones)]
+    if profile.kind == "custom":
+        ts = np.array([a for a, _ in profile.params["samples"]])
+        i0 = np.searchsorted(ts, tlo, side="right")
+        owner, rank = _ragged(np.searchsorted(ts, thi, side="left") - i0)
+        cone.append(owner)
+        s_br.append((ts[i0[owner] + rank] - kap[owner]) / dk[owner])
+    e = profile.boundary_exponent
+    at_alpha = np.zeros(n_cones, dtype=bool)
+    if e is not None:
+        dist = tlo - profile.alpha
+        at_alpha = dist <= BOUNDARY_DETECT_TOL * (1.0 + abs(profile.alpha))
+        graded = ~at_alpha & (dist < np.abs(dk))
+        counts = np.zeros(n_cones, dtype=int)
+        counts[graded] = np.ceil(np.log2((thi[graded] - profile.alpha) / dist[graded])) - 1
+        owner, rank = _ragged(counts)
+        cone.append(owner)
+        offset = dist[owner] * (2.0 ** (rank + 1) - 1.0) / np.abs(dk[owner])
+        s_br.append(np.abs(near[owner] - offset))
+    cone, s_br = np.concatenate(cone), np.concatenate(s_br)
+    order = np.lexsort((s_br, cone))
+    cone, s_br = cone[order], s_br[order]
+    piece = (cone[1:] == cone[:-1]) & (s_br[1:] > s_br[:-1])
+    pc, sa, sb = cone[:-1][piece], s_br[:-1][piece], s_br[1:][piece]
+    jac = at_alpha[pc] & (np.where(dk[pc] > 0, sa, 1.0 - sb) == 0.0)
+
+    x, w = _gauss01(OUTER_POINTS)
+    s = sa[~jac, None] + (sb - sa)[~jac, None] * x
+    t = kap[pc[~jac], None] + s * dk[pc[~jac], None]
+    fw = (sb - sa)[~jac, None] * w * _f_values(profile, np.clip(t, profile.alpha, None))
+    parts = [(np.repeat(pc[~jac], len(x)), s.ravel(), fw.ravel())]
+    if np.any(jac):
+        # (t - alpha)^e = (|dk| * distance from the near end)^e
+        xj, wj = _gauss01(OUTER_POINTS, float(e))
+        c, width = pc[jac], (sb - sa)[jac, None]
+        s = np.where(dk[c, None] > 0, sa[jac, None] + width * xj, sb[jac, None] - width * xj)
+        t = kap[c, None] + s * dk[c, None]
+        fw = wj * width ** (e + 1.0) * np.abs(dk[c, None]) ** e * profile.f_regular(t)
+        parts.append((np.repeat(c, len(xj)), s.ravel(), fw.ravel()))
+    return (np.concatenate(a) for a in zip(*parts))
+
+
+def simplex_g_integrals(data, profile, field, simplices, p=None) -> np.ndarray:
+    """int_S p(z) h(z) f(k(z)) dz for every simplex S of a batch.
+
+    ``simplices`` is an (S, l + 1, l) array of vertices (intervals for l = 1,
+    triangles for l = 2); f = exp(-sigma) of ``profile``, or f = 1 when
+    ``profile`` is None (the weight h).  ``p(zs, owner)`` maps the rule's
+    (m, l) nodes and their simplex indices to (m,) or (m, q) values of
+    polynomials of degree <= 2 (p = 1 when None); returns (S,) or (S, q).
+
+    k is affine, so by Duistermaat-Heckman the pushforward of p h dz under k
+    has a piecewise polynomial density with knots at the vertex values of k,
+    and each integral is one-dimensional in t = k(z): a fixed Gauss rule per
+    t-piece (see ``_outer_rule``) times Gauss-Legendre on the slice
+    {k = t}, exact for degree deg h + 2.  Where k is constant on S the
+    integral is f(k) times the degree-exact simplex rule.
+    """
+    V = np.asarray(simplices, dtype=float)
+    S, l = V.shape[0], V.shape[2]
+    deg = data.base_dimension + 2
+    if profile is None:
+        kv = np.zeros(V.shape[:2])
+    else:
+        kv = field.k_values(V.reshape(-1, l)).reshape(S, l + 1)
+        if np.any(kv < profile.alpha - 1e-9) or np.any(kv >= profile.beta):
+            raise DomainError("potential value outside [alpha, beta) on the given simplices")
+    flat = kv.max(axis=1) == kv.min(axis=1)
+
+    ref, ref_w = _reference_rule(l, deg)
+    E = V[flat, 1:] - V[flat, :1]
+    f_flat = 1.0
+    if profile is not None:
+        f_flat = _f_values(profile, np.clip(kv[flat, 0], profile.alpha, None))
+    zs = [(V[flat, None, 0] + np.einsum("nk,skj->snj", ref, E)).reshape(-1, l)]
+    ws = [(np.abs(np.linalg.det(E)) * f_flat)[:, None] * ref_w]
+    owner = [np.repeat(np.nonzero(flat)[0], len(ref_w))]
+    if not np.all(flat):
+        sid, apex, e0, e1, vol, kap, dk = _cones(V[~flat], kv[~flat])
+        cone, s, fw = _outer_rule(profile, kap, dk)
+        r, wr = _gauss01(1 if l == 1 else (deg + 2) // 2)
+        ray = e0[cone, None] + r[:, None] * e1[cone, None]  # (outer, inner, l)
+        zs.append((apex[cone, None] + s[:, None, None] * ray).reshape(-1, l))
+        ws.append((fw * vol[cone] * s ** (l - 1))[:, None] * wr)
+        owner.append(np.repeat(np.nonzero(~flat)[0][sid[cone]], len(r)))
+    zs, owner = np.concatenate(zs), np.concatenate(owner)
+    ws = np.concatenate([w.ravel() for w in ws]) * h_values(data, zs)
+    if p is None:
+        return np.bincount(owner, ws, minlength=S)
+    pv = np.asarray(p(zs, owner))
+    if pv.ndim == 1:
+        return np.bincount(owner, ws * pv, minlength=S)
+    return np.stack([np.bincount(owner, ws * v, minlength=S) for v in pv.T], axis=1)
+
+
+def g_integral(data, profile, field, poly_fn):
+    """int_{P*} poly_fn(z) g(z) dz over the triangulation of P*.
+
+    ``poly_fn`` maps an (m, l) batch to (m,) or (m, q) values of polynomials
+    of degree <= 2; returns a float or a (q,) array.
+    """
+    out = simplex_g_integrals(
+        data, profile, field, np.array(data.dual().simplex_coords()), lambda zs, _: poly_fn(zs)
+    ).sum(axis=0)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -327,21 +431,15 @@ def g_stats(
     field: FiberField,
     *,
     allow_boundary: bool = True,
-    tol: float | None = None,
 ) -> GStats:
     """All g-moments of P*.  The reduced Futaki vector is (int z_k g dz)_k, the
     existence criterion being its vanishing; it drops the fixed positive
     base-fiber factor, so only its vanishing and sign carry meaning."""
-    dual = data.dual()
-    check_field_domain(field, profile, dual, allow_boundary=allow_boundary)
-    l = data.fiber_dimension
-    vol = g_integral(data, profile, field, lambda zs: np.ones(zs.shape[0]), tol=tol)
-    fut = np.array(
-        [
-            g_integral(data, profile, field, lambda zs, k=k: zs[:, k], tol=tol)
-            for k in range(l)
-        ]
+    check_field_domain(field, profile, data.dual(), allow_boundary=allow_boundary)
+    moments = g_integral(
+        data, profile, field, lambda zs: np.column_stack([np.ones(len(zs)), zs])
     )
+    vol, fut = float(moments[0]), moments[1:]
     ts = np.linspace(field.k_min, field.k_max, 2001)
     fvals = _f_values(profile, np.clip(ts, profile.alpha, None))
     return GStats(
@@ -444,74 +542,25 @@ class Functionals:
 
     # -- nodal quadrature weights ------------------------------------------
 
-    def _weight_values(self, kind, zs):
-        if kind == "g":
-            return g_values(self.data, self.profile, self.field, zs)
-        return h_values(self.data, zs)
-
     def hat_weights(self, geom, kind: str) -> np.ndarray:
-        """w_j = int hat_j(z) * weight(z) dz over P* for every grid node j."""
+        """w_j = int hat_j(z) * weight(z) dz over P* for every grid node j,
+        with weight g (kind "g") or h (kind "h")."""
         key = (id(geom), kind)
         if key in self._hat_cache:
             return self._hat_cache[key]
         if geom.dimension == 1:
-            w = self._hat_weights_1d(geom, kind)
+            m = geom.n_nodes
+            cells = np.column_stack([np.arange(m - 1), np.arange(1, m)])
         else:
-            w = self._hat_weights_2d(geom, kind)
+            cells = np.asarray(geom.triangles)
+        simplices = geom.nodes[cells]
+        prof, fld = (self.profile, self.field) if kind == "g" else (None, None)
+        per_vertex = simplex_g_integrals(
+            self.data, prof, fld, simplices, lambda zs, owner: _barycentric(simplices, zs, owner)
+        )
+        w = np.bincount(cells.ravel(), per_vertex.ravel(), minlength=geom.n_nodes)
         self._hat_cache[key] = w
         return w
-
-    def _hat_weights_1d(self, geom, kind) -> np.ndarray:
-        z = geom.nodes[:, 0]
-        m = len(z)
-        out = np.zeros(m)
-        sing = _singularity_1d(self.data, self.profile, self.field) if kind == "g" else None
-        xg, wg = leggauss(8)
-        for i in range(m - 1):
-            a, b = z[i], z[i + 1]
-            singular_here = sing is not None and (
-                (sing.side > 0 and i == m - 2) or (sing.side < 0 and i == 0)
-            )
-            if not singular_here:
-                x = 0.5 * (a + b) + 0.5 * (b - a) * xg
-                wq = 0.5 * (b - a) * wg
-                vals = self._weight_values(kind, x.reshape(-1, 1))
-            else:
-                e = sing.exponent
-                ja, jb = (e, 0.0) if sing.side > 0 else (0.0, e)
-                xj, wj = _gauss_jacobi_rule(60, ja, jb)
-                x = 0.5 * (a + b) + 0.5 * (b - a) * xj
-                half = 0.5 * (b - a)
-                # (1 -+ z) = half * (1 -+ x) on the cell touching the vertex
-                wq = wj * half ** (e + 1.0)
-                zs = x.reshape(-1, 1)
-                vals = (
-                    h_values(self.data, zs)
-                    * self.profile.f_regular(self.field.k_values(zs))
-                    * sing.scale**e
-                )
-            lam = (x - a) / (b - a)
-            out[i] += np.sum(wq * vals * (1.0 - lam))
-            out[i + 1] += np.sum(wq * vals * lam)
-        return out
-
-    def _hat_weights_2d(self, geom, kind) -> np.ndarray:
-        from .polytope import _reference_rule
-
-        ref_nodes, ref_w = _reference_rule(2, 10)
-        lam12 = ref_nodes
-        lam0 = 1.0 - ref_nodes.sum(axis=1)
-        out = np.zeros(geom.n_nodes)
-        for (i, j, k) in geom.triangles:
-            vi, vj, vk = geom.nodes[i], geom.nodes[j], geom.nodes[k]
-            J = np.column_stack([vj - vi, vk - vi])
-            detJ = abs(float(np.linalg.det(J)))
-            pts = ref_nodes @ J.T + vi
-            vals = self._weight_values(kind, pts) * ref_w * detJ
-            out[i] += float(vals @ lam0)
-            out[j] += float(vals @ lam12[:, 0])
-            out[k] += float(vals @ lam12[:, 1])
-        return out
 
     # -- core functionals ----------------------------------------------------
 
@@ -552,105 +601,30 @@ class Functionals:
 
     # -- Ding invariants of PL test data -------------------------------------
 
-    def _smooth_g_integral_on(self, a: Fraction, b: Fraction, poly_fn) -> float:
-        """int_a^b poly_fn(z) g(z) dz on a subinterval of [-1, 1] (1D)."""
-        sing = _singularity_1d(self.data, self.profile, self.field)
-        af, bf = float(a), float(b)
-        if sing is not None and (
-            (sing.side > 0 and bf == 1.0) or (sing.side < 0 and af == -1.0)
-        ):
-            e = sing.exponent
-            ja, jb = (e, 0.0) if sing.side > 0 else (0.0, e)
-
-            def eval_n(n):
-                xj, wj = _gauss_jacobi_rule(n, ja, jb)
-                x = 0.5 * (af + bf) + 0.5 * (bf - af) * xj
-                half = 0.5 * (bf - af)
-                zs = x.reshape(-1, 1)
-                vals = (
-                    poly_fn(zs)
-                    * h_values(self.data, zs)
-                    * self.profile.f_regular(self.field.k_values(zs))
-                    * sing.scale**e
-                )
-                return float(np.sum(wj * half ** (e + 1.0) * vals))
-
-            prev, n = eval_n(48), 48
-            while True:
-                n = int(n * 1.6)
-                cur = eval_n(n)
-                if abs(cur - prev) <= 1e-13 * (1 + abs(cur)) or n >= 400:
-                    return cur
-                prev = cur
-
-        xg, wg = leggauss(10)
-        n = 8
-        prev = None
-        while True:
-            edges = np.linspace(af, bf, n + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1] - edges[0])
-            x = (mid[:, None] + half * xg[None, :]).ravel()
-            wq = np.tile(half * wg, n)
-            zs = x.reshape(-1, 1)
-            vals = poly_fn(zs) * g_values(self.data, self.profile, self.field, zs)
-            cur = float(wq @ vals)
-            if prev is not None and abs(cur - prev) <= 1e-13 * (1 + abs(cur)):
-                return cur
-            if n >= 4096:
-                raise QuadratureError("subinterval quadrature did not converge")
-            prev, n = cur, n * 2
-
     def pl_g_integral(self, phi: PLConvex) -> float:
-        """int_{P*} phi g dz, exact-in-structure over phi's linearity pieces."""
+        """int_{P*} phi g dz, exact-in-structure over phi's linearity pieces:
+        one interval per kink in 1D, the exactly clipped polygons of each
+        piece, fan-triangulated, in 2D."""
         if self.data.fiber_dimension == 1:
-            cuts = phi.kink_points_1d(Fraction(-1), Fraction(1))
-            total = 0.0
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                total += self._smooth_g_integral_on(a, b, lambda zs: phi(zs))
-            return total
-        return self._pl_g_integral_2d(phi)
-
-    def _pl_g_integral_2d(self, phi: PLConvex) -> float:
-        total = 0.0
+            cuts = [float(x) for x in phi.kink_points_1d(Fraction(-1), Fraction(1))]
+            cells = np.column_stack([cuts[:-1], cuts[1:]])[:, :, None]
+            return float(np.sum(simplex_g_integrals(
+                self.data, self.profile, self.field, cells, lambda zs, _: phi(zs)
+            )))
+        tris, slopes, offsets = [], [], []
         pts = self.dual.tri_points
         for simplex in self.dual.triangulation:
             tri = [pts[i] for i in simplex]
             for r, (ar, br) in enumerate(phi.pieces):
-                poly = _clip_to_piece(tri, phi.pieces, r)
-                if len(poly) < 3:
-                    continue
-                for t in _fan_triangulate(poly):
-                    total += self._triangle_g_integral(t, ar, br)
-        return total
-
-    def _triangle_g_integral(self, tri, a, b) -> float:
-        from .polytope import _reference_rule
-
-        af = np.array([float(x) for x in a])
-        bf = float(b)
-        verts = np.array([[float(x) for x in p] for p in tri])
-        J = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-        detJ = abs(float(np.linalg.det(J)))
-        if detJ == 0.0:
-            return 0.0
-
-        prev = None
-        r = 2
-        while True:
-            ref_nodes, ref_w = _reference_rule(2, 10)
-            acc = 0.0
-            for sub in _subdiv_triangle(verts, r):
-                Js = np.column_stack([sub[1] - sub[0], sub[2] - sub[0]])
-                dj = abs(float(np.linalg.det(Js)))
-                pts = ref_nodes @ Js.T + sub[0]
-                vals = (pts @ af + bf) * g_values(self.data, self.profile, self.field, pts)
-                acc += float((ref_w * dj) @ vals)
-            if prev is not None and abs(acc - prev) <= 1e-12 * (1 + abs(acc)):
-                return acc
-            if r >= 64:
-                return acc
-            prev, r = acc, r * 2
+                for t in _fan_triangulate(_clip_to_piece(tri, phi.pieces, r)):
+                    tris.append([[float(x) for x in v] for v in t])
+                    slopes.append([float(x) for x in ar])
+                    offsets.append(float(br))
+        A, B = np.array(slopes), np.array(offsets)
+        return float(np.sum(simplex_g_integrals(
+            self.data, self.profile, self.field, np.array(tris),
+            lambda zs, owner: np.einsum("ij,ij->i", zs, A[owner]) + B[owner],
+        )))
 
     def ding_invariant(self, phi: PLConvex) -> float:
         """(1/|P*|_g) int phi g dz - phi(0): the Ding invariant of the
@@ -774,13 +748,9 @@ def _fan_triangulate(poly):
     return [(poly[0], poly[i], poly[i + 1]) for i in range(1, len(poly) - 1)]
 
 
-def _subdiv_triangle(verts, r):
-    v0, e1, e2 = verts[0], verts[1] - verts[0], verts[2] - verts[0]
-    out = []
-    for i in range(r):
-        for j in range(r - i):
-            p = lambda a, b: v0 + (a / r) * e1 + (b / r) * e2
-            out.append(np.array([p(i, j), p(i + 1, j), p(i, j + 1)]))
-            if i + j < r - 1:
-                out.append(np.array([p(i + 1, j), p(i + 1, j + 1), p(i, j + 1)]))
-    return out
+def _barycentric(simplices: np.ndarray, zs: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates (m, l + 1) of the points zs in simplices[owner]."""
+    v0 = simplices[:, 0]
+    inv = np.linalg.inv(np.transpose(simplices[:, 1:] - v0[:, None], (0, 2, 1)))
+    lam = np.einsum("mij,mj->mi", inv[owner], zs - v0[owner])
+    return np.column_stack([1.0 - lam.sum(axis=1), lam])

@@ -21,12 +21,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .convex import ConvexDualGrid, grid_from_values, pl_exp_integral_1d
 from .functionals import (
     Functionals,
     Verdict,
     g_values,
+    simplex_g_integrals,
     stability_verdict,
 )
 from .sigma import check_growth
@@ -164,35 +166,31 @@ def initial_grid(fn: Functionals, level=None, window=None) -> ConvexDualGrid:
 def _newton_direction_1d(z, grad, res, M):
     """Damped Newton direction from the exact Hessian of -log int exp(-u):
     breakpoint-flux Laplacian over the active nodes, minus diag of masses,
-    plus the rank-one barycenter term."""
+    plus the rank-one barycenter term.  The tridiagonal part is solved
+    banded and the rank-one term by Sherman-Morrison, in O(K)."""
     act = res["active"]
     K = len(act)
     if K < 3:
         return -grad
     za = z[act]
-    F = res["fluxes"]
-    dz = np.diff(za)
     mhat = res["masses"][act] / M
-    H = np.zeros((K, K))
-    idx = np.arange(K - 1)
-    w = F / (M * dz)
-    H[idx, idx] += w
-    H[idx + 1, idx + 1] += w
-    H[idx, idx + 1] -= w
-    H[idx + 1, idx] -= w
-    H[np.arange(K), np.arange(K)] += -mhat
-    H += np.outer(mhat, mhat)
+    w = res["fluxes"] / (M * np.diff(za))
     g_act = grad[act]
     eps = 1e-12 + 1e-3 * float(np.abs(g_act).sum())
-    H[np.arange(K), np.arange(K)] += eps
+    ab = np.zeros((3, K))
+    ab[0, 1:] = -w
+    ab[1] = eps - mhat
+    ab[1, :-1] += w
+    ab[1, 1:] += w
+    ab[2, :-1] = -w
     try:
-        d_act = np.linalg.solve(H, -g_act)
+        y, x = solve_banded((1, 1), ab, np.column_stack([-g_act, mhat])).T
     except np.linalg.LinAlgError:
         return -grad
-    if float(g_act @ d_act) >= 0:
+    d_act = y - x * ((mhat @ y) / (1.0 + mhat @ x))
+    if not np.all(np.isfinite(d_act)) or float(g_act @ d_act) >= 0:
         return -grad
-    d = np.interp(z, za, d_act)
-    return d
+    return np.interp(z, za, d_act)
 
 
 def minimize_ding(
@@ -409,53 +407,29 @@ def _regularity_report(fn: Functionals, u: ConvexDualGrid, non_uniform: bool) ->
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_g(fn: Functionals, n: int = 200001):
-    cache = getattr(fn, "_cum_g", None)
-    if cache is not None:
-        return cache
-    from scipy.integrate import cumulative_trapezoid
-
-    z0, z1 = float(fn.dual.vertex_array.min()), float(fn.dual.vertex_array.max())
-    zs = np.linspace(z0, z1, n)
-    gv = g_values(fn.data, fn.profile, fn.field, zs.reshape(-1, 1))
-    G = np.concatenate([[0.0], cumulative_trapezoid(gv, zs)])
-    fn._cum_g = (zs, G)
-    return fn._cum_g
-
-
 def alexandrov_measure(u: ConvexDualGrid, fn: Functionals) -> AlexandrovMeasure:
     """MA_g(u) cell masses: (1/|P*|_g) of the g-mass of the subgradient image.
 
-    1D: the subgradient of each primal window node is its slope interval;
-    2D: each lower-hull facet of the dual data carries the g-mass of its
-    triangle at the primal point where that facet is the subdifferential.
+    1D: the subgradient of each primal window node is its slope interval,
+    clipped to P*; 2D: each lower-hull facet of the dual data carries the
+    g-mass of its triangle at the primal point where that facet is the
+    subdifferential.  Both masses come from ``simplex_g_integrals``.
     """
     if not u.is_grid_convex(1e-7):
         raise ValueError("Alexandrov measure needs grid-convex dual values")
     V = fn.gstats.volume_g
     if u.dimension == 1:
         ys, vals = u.primal_grid()
-        zs, G = _cumulative_g(fn)
         sl = np.diff(vals) / (ys[1, 0] - ys[0, 0])
-        z0, z1 = zs[0], zs[-1]
-        edges = np.concatenate([[z0], np.clip(sl, z0, z1), [z1]])
-        Ge = np.interp(edges, zs, G)
-        masses = np.diff(Ge) / V
-        return AlexandrovMeasure(points=ys, masses=masses)
-    _, simplices, ys, _ = u._lower_hull_2d()
-    from .polytope import _reference_rule
-
-    ref_nodes, ref_w = _reference_rule(2, 10)
-    tri = u.nodes[simplices]  # (F, 3, 2)
-    e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
-    detJ = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    nodes = (
-        tri[:, None, 0]
-        + ref_nodes[None, :, 0:1] * e1[:, None]
-        + ref_nodes[None, :, 1:2] * e2[:, None]
-    )
-    gv = g_values(fn.data, fn.profile, fn.field, nodes.reshape(-1, 2))
-    masses = detJ * (gv.reshape(len(tri), -1) @ ref_w)
+        z0, z1 = float(fn.dual.vertex_array.min()), float(fn.dual.vertex_array.max())
+        # slopes fall by rounding-size steps where u is affine: such a cell has
+        # an empty subgradient image, not a reversed one
+        edges = np.maximum.accumulate(np.concatenate([[z0], np.clip(sl, z0, z1), [z1]]))
+        cells = np.column_stack([edges[:-1], edges[1:]])[:, :, None]
+    else:
+        _, simplices, ys, _ = u._lower_hull_2d()
+        cells = u.nodes[simplices]
+    masses = simplex_g_integrals(fn.data, fn.profile, fn.field, cells)
     return AlexandrovMeasure(points=ys.copy(), masses=masses / V)
 
 

@@ -517,6 +517,11 @@ def _subsimplices(verts: np.ndarray, r: int) -> list[np.ndarray]:
     return out
 
 
+# integrand points allowed in one refinement level of ``integrate``: the node
+# arrays of a level are built at once, so this bounds its memory
+MAX_LEVEL_NODES = 1 << 20
+
+
 def _nodes_for(dual: DualPolytope, degree: int, r: int):
     key = ("nodes", degree, r)
     if key in dual._cache:
@@ -564,7 +569,8 @@ def integrate(
     Starting from ``rule.refinement``, the subdivision doubles until two
     successive estimates differ by less than ``tol`` (default 1e-12 for l = 1,
     1e-10 for l = 2).  Returns the last estimate, optionally with the error
-    estimate from the final doubling.
+    estimate from the final doubling.  Raises QuadratureError when the next
+    level would exceed ``max_refinement`` or MAX_LEVEL_NODES points.
     """
     if dual.dimension > 2 or not dual.triangulation:
         raise UnsupportedDimensionError(
@@ -581,7 +587,10 @@ def integrate(
         err = abs(cur - prev)
         if err < tol:
             return (cur, err) if return_error else cur
-        if r >= max_refinement:
+        n_next = len(dual.triangulation) * (2 * r) ** dual.dimension * len(
+            _reference_rule(dual.dimension, rule.degree)[1]
+        )
+        if r >= max_refinement or n_next > MAX_LEVEL_NODES:
             raise QuadratureError(
                 f"quadrature did not converge (refinement {r}, last change {err:.3e})"
             )

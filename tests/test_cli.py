@@ -152,16 +152,6 @@ class TestGeodesicAndPlots:
         assert (tmp_path / "primal_potential.csv").exists()
 
 
-def test_threads_env_respected(monkeypatch):
-    from ksm_stab.cli import _parallel_map, _threads
-
-    monkeypatch.setenv("KSM_STAB_THREADS", "3")
-    assert _threads() == 3
-    assert _parallel_map(lambda x: x * x, range(7)) == [x * x for x in range(7)]
-    monkeypatch.setenv("KSM_STAB_THREADS", "not-a-number")
-    assert _threads() == 1
-
-
 def test_reproduce_z1_table(tmp_path):
     rep = run({"task": "reproduce", "example": "Z1", "plots": True, "out": str(tmp_path)})
     res = rep["results"]

@@ -390,9 +390,162 @@ def test_custom_profile_matches_closed_form(z1):
     ts = np.linspace(-0.95, 2.0, 400)
     prof = sg.custom(list(zip(ts, ref.evaluate(ts)[0])))
     gs_ref = g_stats(z1, ref, fld)
-    gs_custom = g_stats(z1, prof, fld, tol=1e-9)
+    gs_custom = g_stats(z1, prof, fld)
     assert gs_custom.reduced_futaki[0] == pytest.approx(
         gs_ref.reduced_futaki[0], abs=5e-6
     )
     rep = sg.check_admissible(prof)
     assert rep.numeric_only and rep.admissible
+
+
+# ---------------------------------------------------------------------------
+# the pushforward rule against mpmath
+# ---------------------------------------------------------------------------
+
+
+def _mpq(x):
+    import mpmath as mp
+
+    return mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
+
+
+def _mp_weight(data, profile, field):
+    """(k, g) in mpmath for a built-in profile, exact rationals where given."""
+    import mpmath as mp
+
+    c = [_mpq(x) for x in (field.coeffs_exact or field.coeffs)]
+    C_V = _mpq(field.C_V_exact if field.C_V_exact is not None else field.C_V)
+    mus = [[_mpq(m) for m in mu] for mu in data.curvature_vectors]
+    if profile.kind == "tau_mix":
+        tau = mp.mpf(profile.params["tau"])
+        f = lambda t: (t + 1) ** tau * mp.exp((1 - tau) * t) if t > -1 else mp.mpf(0)
+    elif profile.kind == "mabuchi_log":
+        f = lambda t: t + profile.params["shift"]
+    else:
+        f = lambda t: mp.exp(-mp.mpf(float(profile(float(t)))))
+
+    def k(z):
+        return -mp.fsum(a * x for a, x in zip(c, z)) + C_V
+
+    def g(z):
+        h = mp.fprod(1 + mp.fsum(m * x for m, x in zip(mu, z)) for mu in mus)
+        return h * f(k(z))
+
+    return k, g
+
+
+def _oracle_1d(data, profile, field, p, points=(-1, 0, 1)):
+    import mpmath as mp
+
+    _, g = _mp_weight(data, profile, field)
+    with mp.workdps(20):
+        return float(mp.quad(lambda z: p(z) * g((z,)), [mp.mpf(x) for x in points]))
+
+
+def _oracle_2d(data, profile, field, p, u_split=()):
+    """Sum over the triangles of P* of a Duffy-mapped tanh-sinh integral with
+    the apex at the vertex of lowest k, where g may vanish or nearly so."""
+    import mpmath as mp
+
+    k, g = _mp_weight(data, profile, field)
+    pts = data.dual().tri_points
+    total = 0
+    with mp.workdps(16):
+        for simplex in data.dual().triangulation:
+            A, B, C = sorted(([_mpq(x) for x in pts[i]] for i in simplex), key=k)
+            det = abs((B[0] - A[0]) * (C[1] - B[1]) - (B[1] - A[1]) * (C[0] - B[0]))
+
+            def duffy(u, v):
+                z = [A[i] + u * (B[i] - A[i]) + u * v * (C[i] - B[i]) for i in range(2)]
+                return p(z) * g(z) * u * det
+
+            total += mp.quad(duffy, [0, *u_split, 1], [0, 1])
+    return float(total)
+
+
+class TestPushforwardOracles:
+    @pytest.mark.parametrize(
+        "profile",
+        [sg.tau_mix(0.3), sg.tau_mix(0.7), sg.mabuchi_log(1.0)],
+        ids=["tau0.3", "tau0.7", "mabuchi"],
+    )
+    def test_z2_boundary(self, z2, profile):
+        fld = normalize_field([Fraction(31, 19)], h_stats(z2), z2.dual())
+        gs = g_stats(z2, profile, fld)
+        assert gs.volume_g == pytest.approx(_oracle_1d(z2, profile, fld, lambda z: 1), rel=1e-12)
+        fut = _oracle_1d(z2, profile, fld, lambda z: z)
+        assert gs.reduced_futaki[0] == pytest.approx(fut, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [Fraction(1, 4), 1.2 * (1 - 1e-8)], ids=["interior", "near"])
+    def test_z1_interior_and_near_boundary(self, z1, c):
+        # c = 6/5 (1 - 1e-8) puts k_min - alpha = 1e-8 at z = 1
+        prof = sg.tau_mix(0.5)
+        fld = normalize_field([c], h_stats(z1), z1.dual())
+        gs = g_stats(z1, prof, fld)
+        pts = (-1, 0, 1 - 1e-6, 1)
+        assert gs.volume_g == pytest.approx(_oracle_1d(z1, prof, fld, lambda z: 1, pts), rel=1e-12)
+        fut = _oracle_1d(z1, prof, fld, lambda z: z, pts)
+        assert gs.reduced_futaki[0] == pytest.approx(fut, rel=1e-12)
+
+    def test_custom_profile(self, z1):
+        ref = sg.tau_mix(0.5)
+        ts = np.linspace(-0.9, 1.5, 9)
+        prof = sg.custom(list(zip(ts, ref.evaluate(ts)[0])))
+        fld = normalize_field([Fraction(1, 4)], h_stats(z1), z1.dual())
+        gs = g_stats(z1, prof, fld)
+        # f is a float function: break the oracle at the samples, mapped to z
+        cuts = sorted({-1.0, 1.0} | {(fld.C_V - t) / 0.25 for t in ts if abs(fld.C_V - t) < 0.25})
+        assert gs.volume_g == pytest.approx(_oracle_1d(z1, prof, fld, lambda z: 1, cuts), rel=1e-12)
+        fut = _oracle_1d(z1, prof, fld, lambda z: z, cuts)
+        assert gs.reduced_futaki[0] == pytest.approx(fut, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "c,tau,u_split",
+        [
+            ((Fraction(1, 2), Fraction(1, 2)), 0.25, ()),
+            ((Fraction(1, 2), Fraction(1, 2)), 0.5, ()),
+            ((0.5 * (1 - 1e-8), 0.5 * (1 - 1e-8)), 0.5, (1e-6,)),
+        ],
+        ids=["boundary-0.25", "boundary-0.5", "near-0.5"],
+    )
+    def test_p2_boundary_and_near_boundary(self, p2_fiber, c, tau, u_split):
+        # c = (1/2, 1/2) puts k = -1 = alpha at the vertex (1, 1), where g
+        # vanishes like (k + 1)^tau; the scaled field stays 1e-8 above it
+        import time
+
+        prof = sg.tau_mix(tau)
+        fld = normalize_field(list(c), h_stats(p2_fiber), p2_fiber.dual())
+        t0 = time.perf_counter()
+        gs = g_stats(p2_fiber, prof, fld)
+        assert time.perf_counter() - t0 < 1.0
+        assert gs.reduced_futaki[0] == pytest.approx(gs.reduced_futaki[1], rel=1e-13)
+        got = gs.volume_g + gs.reduced_futaki @ [0.5, 1 / 3]
+        p = lambda z: 1 + z[0] / 2 + z[1] / 3
+        assert got == pytest.approx(_oracle_2d(p2_fiber, prof, fld, p, u_split), rel=1e-12)
+
+    def test_2d_interior_with_h(self):
+        from ksm_stab.ksm import make_ksm
+
+        b1 = make_ksm(1, 2, [["1/3", "0"]], [(1, 0), (0, 1), (-1, -1)], "B1")
+        prof = sg.tau_mix(0.5)
+        fld = normalize_field([Fraction(3, 10), Fraction(-1, 5)], h_stats(b1), b1.dual())
+        gs = g_stats(b1, prof, fld)
+        got = gs.volume_g + gs.reduced_futaki @ [0.5, 1 / 3]
+        p = lambda z: 1 + z[0] / 2 + z[1] / 3
+        assert got == pytest.approx(_oracle_2d(b1, prof, fld, p), rel=1e-12)
+
+
+class TestHatWeights:
+    @pytest.mark.parametrize("name,c,tau,level", [
+        ("Z2", [Fraction(31, 19)], 0.5, 9),
+        ("P2-fiber", [Fraction(1, 2), Fraction(1, 2)], 0.25, 5),
+    ])
+    def test_weights_sum_to_volumes(self, name, c, tau, level):
+        from ksm_stab.datasets import load_dataset
+
+        data = load_dataset(name)
+        hs = h_stats(data)
+        fn = Functionals(data, sg.tau_mix(tau), normalize_field(c, hs, data.dual()), hstats=hs)
+        geom = fn.grid(level).geom
+        assert fn.hat_weights(geom, "g").sum() == pytest.approx(fn.gstats.volume_g, rel=1e-13)
+        assert fn.hat_weights(geom, "h").sum() == pytest.approx(float(hs.volume_h_exact), rel=1e-13)

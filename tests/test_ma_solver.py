@@ -167,7 +167,7 @@ class TestAlexandrov:
 
             u = grid_from_values(z1_soliton_fn.dual, vals)
             am = alexandrov_measure(u, z1_soliton_fn)
-            assert am.total == pytest.approx(1.0, abs=1e-6)
+            assert am.total == pytest.approx(1.0, abs=1e-13)
 
     def test_2d_facet_measure(self, p2_fiber):
         fld = normalize_field([0, 0], h_stats(p2_fiber), p2_fiber.dual())
@@ -296,3 +296,34 @@ class TestIndependentODEOracle:
         # slope saturation at the dual vertices
         assert out[1].sol(y_star + 12.0)[1] == pytest.approx(1.0, abs=5e-3)
         assert out[-1].sol(y_star - 12.0)[1] == pytest.approx(-1.0, abs=5e-3)
+
+
+def test_newton_direction_matches_dense_solve():
+    # the banded solve with a Sherman-Morrison correction against the dense
+    # solve of the assembled tridiagonal-plus-rank-one Hessian
+    from ksm_stab.convex import pl_exp_integral_1d
+    from ksm_stab.ma_solver import _newton_direction_1d
+
+    rng = np.random.default_rng(5)
+    z = np.linspace(-1.0, 1.0, 129)
+    for _ in range(5):
+        sl = rng.uniform(-3, 3, size=6)
+        vals = np.max(np.outer(z, sl) + rng.uniform(-1, 1, size=6), axis=1) + 0.3 * z**2
+        res = pl_exp_integral_1d(z, vals)
+        M = float(np.sum(res["masses"]))
+        what = rng.dirichlet(np.ones(len(z)))
+        grad = what - res["masses"] / M
+        d = _newton_direction_1d(z, grad, res, M)
+
+        act = res["active"]
+        K, za, g_act = len(act), z[act], grad[act]
+        mhat = res["masses"][act] / M
+        w = res["fluxes"] / (M * np.diff(za))
+        H = np.outer(mhat, mhat) - np.diag(mhat)
+        H += np.diag(np.concatenate([w, [0]]) + np.concatenate([[0], w]))
+        H -= np.diag(w, 1) + np.diag(w, -1)
+        H += (1e-12 + 1e-3 * np.abs(g_act).sum()) * np.eye(K)
+        d_act = np.linalg.solve(H, -g_act)
+        assert K >= 3 and g_act @ d_act < 0
+        ref = np.interp(z, za, d_act)
+        np.testing.assert_allclose(d, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))

@@ -8,6 +8,7 @@ import pytest
 from ksm_stab.polytope import (
     FanoValidationError,
     PolytopeError,
+    QuadratureError,
     QuadratureRule,
     UnsupportedDimensionError,
     check_fano,
@@ -210,3 +211,15 @@ def test_reference_rule_weights_positive_and_sum_to_volume():
         nodes, weights = _reference_rule(dim, 10)
         assert np.all(weights > 0)
         assert float(np.sum(weights)) == pytest.approx(vol, rel=1e-14)
+
+
+def test_integrate_non_smooth_2d_raises_within_node_budget():
+    # |z1 - 1/3|^(1/4) is not smooth across a line through P*: refinement
+    # never meets the 2D tolerance and must stop at the per-level node budget
+    import time
+
+    dual = dual_polytope(validate_fano(P2))
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureError):
+        integrate(dual, lambda zs: np.abs(zs[:, 0] - 1 / 3) ** 0.25)
+    assert time.perf_counter() - t0 < 5.0
