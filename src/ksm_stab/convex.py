@@ -12,8 +12,10 @@ tail outside the box is a certified per-vertex-cone bound.
 
 Grid values are the optimization variables of the Monge-Ampere solver; the
 module therefore also provides convexity projection (isotonic regression on
-slopes in 1D, lower convex envelope in 2D), per-cell exp(-u) masses and
-breakpoint fluxes (the exact gradient/Hessian data of -log int exp(-u)).
+slopes in 1D, lower convex envelope in 2D) and, in one record for both
+dimensions (``ExpCells``), the per-cell exp(-u) masses and the fluxes of
+exp(-u) through the cell boundaries, one per lower-hull edge: the exact
+gradient and Hessian data of -log int exp(-u).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "PLConvex",
     "DualGridGeometry",
     "ConvexDualGrid",
+    "ExpCells",
     "WindowTooSmallError",
     "dual_grid_geometry",
     "grid_from_values",
@@ -439,6 +442,51 @@ def pl_exp_integral_1d(slopes, intercepts, window=None, node_ids=None):
     }
 
 
+@dataclass(frozen=True)
+class ExpCells:
+    """Exact exp(-u) data of a dual grid, the same record in 1D and 2D.
+
+    The primal cells of u are indexed by the grid nodes; the lower hull of
+    the points (z, u*) has facets T (segments in 1D, triangles in 2D) with
+    gradients y_T, the primal vertices, and edges (i, j) between the nodes
+    whose cells share a boundary piece.  ``fluxes`` holds, per hull edge, the
+    integral of exp(-u) over that piece divided by |z_i - z_j|: a breakpoint
+    value in 1D, a segment or ray integral in 2D.  Masses and fluxes carry a
+    common scale: sum(masses) is proportional to exp(log_total).
+    """
+
+    log_total: float
+    masses: np.ndarray  # (m,), zero off the hull
+    active: np.ndarray  # sorted indices of the nodes on the hull
+    edges: np.ndarray  # (E, 2) node pairs
+    fluxes: np.ndarray  # (E,)
+    facets: np.ndarray  # (F, l + 1) node indices
+    ys: np.ndarray  # (F, l) facet gradients y_T
+    us: np.ndarray  # (F,) u(y_T)
+
+    def hull_interpolant(self, nodes: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return _hull_interpolant(nodes, d, self.active, self.facets, self.ys, self.us)
+
+
+def _hull_interpolant(nodes, d, active, facets, ys, us) -> np.ndarray:
+    """d with its entries off the hull nodes ``active`` replaced by the linear
+    interpolant over the facet each node lies on, argmax_T <y_T, z> - u(y_T)."""
+    out = np.array(d, dtype=float)
+    on_hull = np.zeros(len(nodes), dtype=bool)
+    on_hull[active] = True
+    off = np.flatnonzero(~on_hull)
+    chunk = max(1, 4_000_000 // len(us))
+    for k in range(0, len(off), chunk):
+        idx = off[k : k + chunk]
+        corners = facets[np.argmax(nodes[idx] @ ys.T - us, axis=1)]
+        base = nodes[corners[:, 0]]
+        span = nodes[corners[:, 1:]] - base[:, None, :]  # (n, l, l), rows are edges
+        lam = np.linalg.solve(np.swapaxes(span, 1, 2), (nodes[idx] - base)[:, :, None])[:, :, 0]
+        d0 = out[corners[:, 0]]
+        out[idx] = d0 + np.sum(lam * (out[corners[:, 1:]] - d0[:, None]), axis=1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the dual-grid convex function
 # ---------------------------------------------------------------------------
@@ -501,15 +549,14 @@ class ConvexDualGrid:
             out = np.concatenate([[0.0], np.cumsum(sl * dz)]) + self.values[0]
             out += self.values.mean() - out.mean()
             return self.with_values(out)
-        env = self.biconjugate_values()
-        return self.with_values(np.minimum(self.values, env))
+        hull = self._lower_hull_2d()
+        env = _hull_interpolant(self.nodes, self.values, *hull)
+        out = self.with_values(np.minimum(self.values, env))
+        # lowering the nodes above the hull onto it keeps the hull surface
+        out._store_hull(hull)
+        return out
 
     # -- conjugation -------------------------------------------------------
-
-    def _envelope_1d(self):
-        z = self.nodes[:, 0]
-        res = pl_exp_integral_1d(z, self.values, window=self.window)
-        return res
 
     def _lower_hull_2d(self):
         """Lower hull of the points (z, u*): (active node indices, facet
@@ -518,10 +565,9 @@ class ConvexDualGrid:
         Each facet is the graph of z -> <y_T, z> - u(y_T) over its triangle,
         so y_T is the primal vertex where the facet's nodes tie.
         """
-        key = ("hull", self.values.tobytes())
-        cache = self.geom._cache.setdefault("hulls", {})
-        if key in cache:
-            return cache[key]
+        cached = self.geom._cache.setdefault("hulls", {}).get(self.values.tobytes())
+        if cached is not None:
+            return cached
         pts = np.column_stack([self.nodes, self.values])
         # an apex far above keeps Qhull non-degenerate for affine value sets
         apex = np.append(
@@ -537,28 +583,25 @@ class ConvexDualGrid:
         i0 = simplices[:, 0]
         us = np.einsum("ij,ij->i", ys, self.nodes[i0]) - self.values[i0]
         out = (np.unique(simplices), simplices, ys, us)
-        if len(cache) > 8:
-            cache.clear()
-        cache[key] = out
+        self._store_hull(out)
         return out
 
+    def _store_hull(self, hull) -> None:
+        cache = self.geom._cache.setdefault("hulls", {})
+        if len(cache) > 8:
+            cache.clear()
+        cache[self.values.tobytes()] = hull
+
     def active_nodes(self) -> np.ndarray:
-        if self.dimension == 1:
-            return np.asarray(self._envelope_1d()["active"])
-        return self._lower_hull_2d()[0]
+        return self.exp_cells().active
 
     def primal_value(self, y) -> float | np.ndarray:
         """u(y) = max over grid nodes of <y, z> - u*(z)."""
         yy = np.asarray(y, dtype=float)
         single = yy.ndim <= 1
         ys = np.atleast_2d(yy.reshape(1, -1) if single else yy)
-        if self.dimension == 1:
-            act = self.active_nodes()
-            Z = self.nodes[act]
-            V = self.values[act]
-        else:
-            act = self.active_nodes()
-            Z, V = self.nodes[act], self.values[act]
+        act = self.active_nodes()
+        Z, V = self.nodes[act], self.values[act]
         out = np.empty(ys.shape[0])
         chunk = max(1, int(4_000_000 / max(len(V), 1)))
         for i in range(0, ys.shape[0], chunk):
@@ -581,7 +624,7 @@ class ConvexDualGrid:
         """Integral of exp(-u) over R^l split into window and tail parts.
 
         The total and the per-node cell masses are exact closed forms (1D:
-        ``pl_exp_integral_1d``; 2D: ``exp_cell_masses``).  The 1D tail is
+        ``pl_exp_integral_1d``; 2D: ``exp_cells``).  The 1D tail is
         exact; the 2D tail outside the box [-Y, Y]^2 is a certified
         per-vertex-cone bound and the window part is total - tail.  Masses
         are proportional to the true exp(-u) cell masses.  Raises
@@ -589,15 +632,9 @@ class ConvexDualGrid:
         window part (skipped with ``full=True``).
         """
         if self.dimension == 1:
-            res = self._envelope_1d()
-            out = {
-                "total": res["total"],
-                "log_total": res["log_total"],
-                "window": res["window"],
-                "tail": res["tail"],
-                "tail_fraction": res["tail_fraction"],
-                "masses": res["masses"],
-            }
+            res = pl_exp_integral_1d(self.nodes[:, 0], self.values, window=self.window)
+            keys = ("total", "log_total", "window", "tail", "tail_fraction", "masses")
+            out = {k: res[k] for k in keys}
         else:
             out = self._exp_integral_2d()
         if not full and out["tail_fraction"] > TAIL_FRACTION_LIMIT:
@@ -607,31 +644,41 @@ class ConvexDualGrid:
             )
         return out
 
-    def exp_cell_masses(self):
-        """Exact log int_{R^2} exp(-u) and the exp(-u) mass of every primal cell.
+    def exp_cells(self) -> ExpCells:
+        """Exact log int exp(-u), the exp(-u) mass of every primal cell and
+        the flux of every lower-hull edge (``ExpCells``).
 
-        u is the max of the affine pieces L_i(y) = <y, z_i> - u*_i, and the
-        cell of node i is a polygon with the lower-hull gradients y_T as
-        vertices, unbounded along the normal cone of P* at z_i (Lawrence's
-        vertex-cone decomposition).  Per hull edge (i, j) shared by facets T
-        and T':
+        1D: the segment masses and breakpoint values of
+        ``pl_exp_integral_1d``.  2D: u is the max of the affine pieces
+        L_i(y) = <y, z_i> - u*_i, and the cell of node i is a polygon with the
+        lower-hull gradients y_T as vertices, unbounded along the normal cone
+        of P* at z_i (Lawrence's vertex-cone decomposition).  Per hull edge
+        (i, j) shared by facets T and T', the segment [y_T, y_T'] separates
+        the cells of i and j and carries |y_T' - y_T| int_0^1 exp(-L_i);
 
         * an interior node i gets the triangle (c_i, y_T, y_T'), c_i the mean
           of its y_T, carrying |det| * exp(-x)[L(c_i), u(y_T), u(y_T')];
         * a node on the P* edge <b, z> = 1 gets the flux of exp(-L_i) b
           through the segment, |det(y_T' - y_T, b)| int_0^1 exp(-L_i).  On
           the cell L_i rises along b with slope <b, z_i> = 1, so the strip
-          swept along b carries exactly this mass;
-        * at a P* vertex node the ray of the other edge b' adds the cone
-          |det(b', b)| exp(-u(y_T)).
+          swept along b carries exactly this mass.
 
-        Exponents are shifted by s0 = min u(y_T) = min u.  Returns
-        (log_total, masses, s0): sum(masses) * exp(-s0) is the total, as for
-        ``pl_exp_integral_1d``.
+        A hull edge on the P* edge with normal b separates its cells by the
+        ray y_T + t b, which carries |b| exp(-u(y_T)); at a P* vertex node
+        the ray of the other edge b' adds the cone |det(b', b)| exp(-u(y_T)).
+        Exponents are shifted by the scale s0 = min u(y_T) = min u.
         """
-        if self.dimension != 2:
-            raise ValueError("exp_cell_masses is the 2D route")
-        _, simplices, ys, us = self._lower_hull_2d()
+        if self.dimension == 1:
+            z = self.nodes[:, 0]
+            res = pl_exp_integral_1d(z, self.values)
+            act, b = res["active"], res["breakpoints"]
+            pairs = np.column_stack([act[:-1], act[1:]])
+            us = z[act[:-1]] * b - self.values[act[:-1]]
+            fluxes = res["fluxes"] / np.diff(z[act])
+            return ExpCells(
+                res["log_total"], res["masses"], act, pairs, fluxes, pairs, b[:, None], us
+            )
+        act, simplices, ys, us = self._lower_hull_2d()
         on_face, normals = _face_incidence(self.geom), self.dual.normal_array
         m = self.geom.n_nodes
         s0 = float(np.min(us))
@@ -658,8 +705,11 @@ class ConvexDualGrid:
 
         # each shared hull edge is the segment [y_T, y_T'] in the boundary
         # of the cells of both its endpoints
+        T, T2 = facet[inner], facet[inner + 1]
+        seg = ys[T2] - ys[T]
+        seg_mean = _exp_neg_dd1(w[T], w[T2])
         node = edges[inner].T.ravel()
-        t, t2 = np.tile(facet[inner], 2), np.tile(facet[inner + 1], 2)
+        t, t2 = np.tile(T, 2), np.tile(T2, 2)
         A, B = ys[t], ys[t2]
         incident = simplices.ravel()
         cnt = np.maximum(np.bincount(incident, minlength=m), 1)
@@ -668,19 +718,26 @@ class ConvexDualGrid:
         )[node]
         w_centre = (np.bincount(incident, np.repeat(w, 3), minlength=m) / cnt)[node]
         fan = np.abs(_cross(A - centre, B - centre)) * _exp_neg_dd2(w_centre, w[t], w[t2])
-        strip = np.abs(_cross(B - A, b[node])) * _exp_neg_dd1(w[t], w[t2])
+        strip = np.abs(_cross(B - A, b[node])) * np.tile(seg_mean, 2)
         cells = np.bincount(node, np.where(boundary[node], strip, fan), minlength=m)
 
         # each boundary hull edge is a ray along its P* edge normal
         ray = normals[np.argmax(shared_face, axis=1)]
+        ray_mass = np.exp(-w[facet[outer]])
         ends = edges[outer].T.ravel()
-        cone = np.abs(_cross(np.tile(ray, (2, 1)), b[ends])) * np.exp(-np.tile(w[facet[outer]], 2))
+        cone = np.abs(_cross(np.tile(ray, (2, 1)), b[ends])) * np.tile(ray_mass, 2)
         masses = cells + np.bincount(ends, cone, minlength=m)
+
+        pairs = np.concatenate([edges[inner], edges[outer]])
+        flux = np.concatenate(
+            [np.linalg.norm(seg, axis=1) * seg_mean, np.linalg.norm(ray, axis=1) * ray_mass]
+        ) / np.linalg.norm(self.nodes[pairs[:, 0]] - self.nodes[pairs[:, 1]], axis=1)
         log_total = math.log(float(np.sum(masses))) - s0
-        return log_total, masses, s0
+        return ExpCells(log_total, masses, act, pairs, flux, simplices, ys, us)
 
     def _exp_integral_2d(self) -> dict:
-        log_total, masses, _ = self.exp_cell_masses()
+        cells = self.exp_cells()
+        log_total, masses = cells.log_total, cells.masses
         # tail bound per vertex cone: on the normal cone of a dual vertex p,
         # u(y) >= <y, p> - u*(p) = v(y) - u*(p), and outside the window box
         # v >= M, so the cone contributes at most e^{u*(p)} (1+M) e^{-M}
@@ -747,25 +804,9 @@ class ConvexDualGrid:
         raise ValueError(f"point {z} not inside the dual grid")
 
     def biconjugate_values(self) -> np.ndarray:
-        """((u*)*)* sampled back on the grid nodes (exact for the PL model)."""
-        if self.dimension == 1:
-            res = self._envelope_1d()
-            b = res["breakpoints"]
-            act = res["active"]
-            # u at breakpoints
-            sa = self.nodes[act, 0]
-            va = self.values[act]
-            ub = sa[:-1] * b - va[:-1]
-            z = self.nodes[:, 0]
-            if len(b) == 0:
-                return self.values.copy()
-            vals = np.max(np.outer(z, b) - ub, axis=1)
-            # beyond the extreme active slopes the sup is attained at infinity;
-            # nodes outside [min sa, max sa] keep their raw value
-            out = np.where((z >= sa[0]) & (z <= sa[-1]), vals, self.values)
-            return out
-        _, _, ys, us = self._lower_hull_2d()
-        return np.max(self.nodes @ ys.T - us, axis=1)
+        """((u*)*)* sampled back on the grid nodes (exact for the PL model):
+        the lower hull of the points (z, u*)."""
+        return self.exp_cells().hull_interpolant(self.nodes, self.values)
 
     def is_psh_b(self, bound: float) -> bool:
         """PSH_b membership flag: |u - v_{P*}| stays within ``bound`` on the

@@ -255,28 +255,31 @@ def h_stats(data: KSMData) -> HStats:
     )
 
 
+def log_sum_exp(points: np.ndarray, ys: np.ndarray):
+    """log sum_a exp(<a, y>) over the rows a of ``points``, per row y of
+    ``ys`` (overflow-guarded), and the softmax weights of the terms: their
+    mean of ``points`` is the gradient in y."""
+    E = ys @ points.T
+    mx = np.max(E, axis=1, keepdims=True)
+    W = np.exp(E - mx)
+    total = np.sum(W, axis=1)
+    return mx[:, 0] + np.log(total), W / total[:, None]
+
+
 def reference_potential_uP(data: KSMData, y) -> float | np.ndarray:
     """u_P(y) = log sum over lattice points a of P* of exp(<a, y>).
 
     Overflow-guarded log-sum-exp; accepts a point or an (m, l) batch.
     """
-    A = data.dual().lattice_array
     y = np.asarray(y, dtype=float)
     single = y.ndim <= 1
     ys = np.atleast_2d(np.atleast_1d(y).reshape(1, -1) if single else y)
-    E = ys @ A.T  # (m, #lattice)
-    mx = np.max(E, axis=1, keepdims=True)
-    out = (mx[:, 0] + np.log(np.sum(np.exp(E - mx), axis=1)))
+    out = log_sum_exp(data.dual().lattice_array, ys)[0]
     return float(out[0]) if single else out
 
 
 def reference_potential_uP_grad(data: KSMData, y) -> np.ndarray:
     """Gradient of u_P (the fiber moment map); maps R^l onto Int(P*)."""
     A = data.dual().lattice_array
-    ys = np.atleast_2d(np.asarray(y, dtype=float))
-    E = ys @ A.T
-    E -= np.max(E, axis=1, keepdims=True)
-    W = np.exp(E)
-    W /= np.sum(W, axis=1, keepdims=True)
-    G = W @ A
+    G = log_sum_exp(A, np.atleast_2d(np.asarray(y, dtype=float)))[1] @ A
     return G[0] if np.asarray(y).ndim <= 1 else G

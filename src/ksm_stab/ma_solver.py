@@ -5,10 +5,11 @@ functional over dual grid values.  In nodal coordinates the gradient of D is
 the mismatch of two probability vectors: the g-weighted hat masses of the
 grid against the exp(-u) masses of the primal linearity cells, so the
 stopping rule is exactly the Alexandrov residual in total variation.  Both
-the log term and the cell masses are exact closed forms, in 1D and 2D.  The
-1D path uses a damped Newton direction assembled from the exact
-tridiagonal-plus-rank-one Hessian of the log term (breakpoint fluxes); 2D
-uses projected gradient descent with Armijo backtracking.
+the log term and the cell masses are exact closed forms, in 1D and 2D, and
+so is the Hessian of the log term: the Laplacian of the exp(-u) fluxes
+through the cell boundaries, minus the diagonal of the masses, plus a
+rank-one term (as in Kitagawa-Merigot-Thibert, JEMS 21, 2019).  One damped
+Newton loop with that Hessian and Armijo backtracking serves both dimensions.
 
 Verification channels: the Alexandrov measure of the solution (cell masses
 against exp(-u)), the dual-side ODE residual w'' = g e^{z w' - w} in 1D, and
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .convex import ConvexDualGrid, grid_from_values, pl_exp_integral_1d
+from .convex import ConvexDualGrid, ExpCells, grid_from_values
 from .functionals import (
     Functionals,
     Verdict,
@@ -31,6 +32,7 @@ from .functionals import (
     simplex_g_integrals,
     stability_verdict,
 )
+from .ksm import log_sum_exp
 from .sigma import check_growth
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
 
 # default Alexandrov TV tolerance per solution mode
 DEFAULT_TOL_TV = {"uniform": 1e-4, "non_uniform": 1e-3}
+DEFAULT_MAX_ITER = 400
 
 
 class UnstableInputError(ValueError):
@@ -99,24 +102,12 @@ class AlexandrovMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _lse_value(points: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    E = ys @ points.T
-    mx = np.max(E, axis=1, keepdims=True)
-    return mx[:, 0] + np.log(np.sum(np.exp(E - mx), axis=1))
-
-
 def _lse_grad_hess(points: np.ndarray, ys: np.ndarray):
-    E = ys @ points.T
-    E -= np.max(E, axis=1, keepdims=True)
-    W = np.exp(E)
-    W /= np.sum(W, axis=1, keepdims=True)
+    W = log_sum_exp(points, ys)[1]
     grad = W @ points
     # hess_i = sum_j w_ij p_j p_j^T - grad_i grad_i^T
-    l = points.shape[1]
-    hess = np.einsum("ij,jk,jl->ikl", W, points, points) - np.einsum(
-        "ik,il->ikl", grad, grad
-    )
-    return grad, hess.reshape(-1, l, l)
+    hess = np.einsum("ij,jk,jl->ikl", W, points, points) - np.einsum("ik,il->ikl", grad, grad)
+    return grad, hess
 
 
 def _lse_conjugate(points: np.ndarray, zs: np.ndarray, cap: float = 80.0) -> np.ndarray:
@@ -128,7 +119,7 @@ def _lse_conjugate(points: np.ndarray, zs: np.ndarray, cap: float = 80.0) -> np.
         hi = np.full(m, cap)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            g = _lse_grad_hess(points, mid.reshape(-1, 1))[0][:, 0]
+            g = log_sum_exp(points, mid.reshape(-1, 1))[1] @ points[:, 0]
             left = g < zs[:, 0]
             lo = np.where(left, mid, lo)
             hi = np.where(left, hi, mid)
@@ -144,7 +135,7 @@ def _lse_conjugate(points: np.ndarray, zs: np.ndarray, cap: float = 80.0) -> np.
             step = step * np.minimum(1.0, 5.0 / np.maximum(norms, 1e-300))
             y = y + step
             np.clip(y, -cap, cap, out=y)
-    return np.einsum("ij,ij->i", y, zs) - _lse_value(points, y)
+    return np.einsum("ij,ij->i", y, zs) - log_sum_exp(points, y)[0]
 
 
 def initial_grid(fn: Functionals, level=None, window=None) -> ConvexDualGrid:
@@ -163,34 +154,38 @@ def initial_grid(fn: Functionals, level=None, window=None) -> ConvexDualGrid:
 # ---------------------------------------------------------------------------
 
 
-def _newton_direction_1d(z, grad, res, M):
-    """Damped Newton direction from the exact Hessian of -log int exp(-u):
-    breakpoint-flux Laplacian over the active nodes, minus diag of masses,
-    plus the rank-one barycenter term.  The tridiagonal part is solved
-    banded and the rank-one term by Sherman-Morrison, in O(K)."""
-    act = res["active"]
-    K = len(act)
-    if K < 3:
-        return -grad
-    za = z[act]
-    mhat = res["masses"][act] / M
-    w = res["fluxes"] / (M * np.diff(za))
+def _newton_direction(nodes: np.ndarray, grad: np.ndarray, cells: ExpCells):
+    """Damped Newton direction from the exact Hessian of -log int exp(-u),
+    in 1D and 2D alike: (L_w - diag m + eps I + m m^T) d = -grad on the hull
+    nodes, with m the normalized cell masses and L_w the graph Laplacian of
+    the edge fluxes.  In coordinate order L_w is banded (bandwidth 1 in 1D,
+    about one grid column in 2D) and is solved as such; the rank-one term
+    goes by Sherman-Morrison.  Nodes off the hull get the interpolant of d
+    over their facet.  None when the solve fails or gives no descent."""
+    act = cells.active[np.lexsort(nodes[cells.active].T[::-1])]
+    K, M = len(act), float(np.sum(cells.masses))
+    pos = np.empty(len(nodes), dtype=int)
+    pos[act] = np.arange(K)
+    i, j = pos[cells.edges].T
+    w = cells.fluxes / M
+    mhat = cells.masses[act] / M
     g_act = grad[act]
-    eps = 1e-12 + 1e-3 * float(np.abs(g_act).sum())
-    ab = np.zeros((3, K))
-    ab[0, 1:] = -w
-    ab[1] = eps - mhat
-    ab[1, :-1] += w
-    ab[1, 1:] += w
-    ab[2, :-1] = -w
+    bw = int(np.max(np.abs(i - j)))
+    ab = np.zeros((2 * bw + 1, K))
+    ab[bw + i - j, j] = -w
+    ab[bw + j - i, i] = -w
+    ab[bw] = np.bincount(i, w, K) + np.bincount(j, w, K) - mhat
+    ab[bw] += 1e-12 + 1e-3 * float(np.abs(g_act).sum())
     try:
-        y, x = solve_banded((1, 1), ab, np.column_stack([-g_act, mhat])).T
+        y, x = solve_banded((bw, bw), ab, np.column_stack([-g_act, mhat])).T
     except np.linalg.LinAlgError:
-        return -grad
+        return None
     d_act = y - x * ((mhat @ y) / (1.0 + mhat @ x))
     if not np.all(np.isfinite(d_act)) or float(g_act @ d_act) >= 0:
-        return -grad
-    return np.interp(z, za, d_act)
+        return None
+    d = np.zeros(len(nodes))
+    d[act] = d_act
+    return cells.hull_interpolant(nodes, d)
 
 
 def minimize_ding(
@@ -203,8 +198,10 @@ def minimize_ding(
     max_iter: int | None = None,
     verdict_tol: float | None = None,
 ) -> MASolution:
-    """Minimize D over grid-convex dual values; stop at Alexandrov residual
-    ``tol_tv`` in total variation (1e-4 uniform, 1e-3 non-uniform defaults).
+    """Minimize D over grid-convex dual values by damped Newton with the
+    exact edge-flux Hessian (1D and 2D alike); stop at Alexandrov residual
+    ``tol_tv`` in total variation (1e-4 uniform, 1e-3 non-uniform defaults)
+    or after ``max_iter`` iterations (``DEFAULT_MAX_ITER``).
 
     Refuses unstable instances.  The returned potential is shifted so the
     unrescaled equation holds: int exp(-u) dy = |P*|_g.
@@ -222,28 +219,15 @@ def minimize_ding(
         tol_tv = DEFAULT_TOL_TV[mode]
 
     u = init if init is not None else initial_grid(fn, level=level, window=window)
-    u = u.convexify()
-    geom = u.geom
     V = fn.gstats.volume_g
-    wg = fn.hat_weights(geom, "g")
-    what = wg / float(np.sum(wg))
-
-    if geom.dimension == 1:
-        sol_values, it, tv, sup, converged = _minimize_1d(
-            u, what, tol_tv, max_iter or 400
-        )
-    else:
-        sol_values, it, tv, sup, converged = _minimize_2d(
-            u, what, tol_tv, max_iter or 4000
-        )
-    u = u.with_values(sol_values)
-
-    res = u.exp_integral(full=True)
-    shift = res["log_total"] - math.log(V)
-    D_val = float(wg @ u.values) / V - res["log_total"]
+    wg = fn.hat_weights(u.geom, "g")
+    n_iter = DEFAULT_MAX_ITER if max_iter is None else max_iter
+    u, cells, it, tv, sup = _descend(u.convexify(), wg / float(np.sum(wg)), tol_tv, n_iter)
+    shift = cells.log_total - math.log(V)
+    D_val = float(wg @ u.values) / V - cells.log_total
     u_norm = u.with_values(u.values - shift)
 
-    cov = _coverage(u_norm)
+    cov = _coverage(u_norm, cells.active)
     reg = _regularity_report(fn, u_norm, non_uniform)
     return MASolution(
         u=u_norm,
@@ -253,101 +237,65 @@ def minimize_ding(
         gradient_image_coverage=cov,
         shift=shift,
         iterations=it,
-        converged=converged,
+        converged=tv <= tol_tv,
         mode=mode,
         regularity=reg,
     )
 
 
-def _minimize_1d(u, what, tol_tv, max_iter):
-    z = u.nodes[:, 0]
-    v = u.values.copy()
-    from scipy.optimize import isotonic_regression
+def _descend(u: ConvexDualGrid, what: np.ndarray, tol_tv: float, max_iter: int):
+    """Damped Newton on D(v) = <what, v> - log int exp(-u_v) over grid-convex
+    v.  Each trial step is projected by ``convexify`` and accepted by Armijo
+    backtracking, along the Newton direction first and -grad second.  The
+    log term and the masses are exact (``exp_cells``), so the residual that
+    stops the loop is the one returned.  The loop also stops when neither
+    direction gives an acceptable step: at the rounding floor of the
+    residual, or when the line search fails."""
 
-    def project(vals):
-        dz = np.diff(z)
-        sl = isotonic_regression(np.diff(vals) / dz).x
-        out = np.concatenate([[0.0], np.cumsum(sl * dz)]) + vals[0]
-        return out + (vals.mean() - out.mean())
+    def objective(g):
+        cells = g.exp_cells()
+        grad = what - cells.masses / float(np.sum(cells.masses))
+        return float(what @ g.values) - cells.log_total, grad, cells
 
-    def objective(vals):
-        res = pl_exp_integral_1d(z, vals)
-        M = float(np.sum(res["masses"]))  # scaled consistently with fluxes
-        return float(what @ vals) - res["log_total"], res, M
-
-    D, res, M = objective(v)
-    tv = sup = math.inf
+    D, grad, cells = objective(u)
     it = 0
     for it in range(1, max_iter + 1):
-        mhat = res["masses"] / M
-        grad = what - mhat
         tv = 0.5 * float(np.abs(grad).sum())
-        sup = float(np.max(np.abs(grad)))
         if tv <= tol_tv:
-            return v, it, tv, sup, True
-        d = _newton_direction_1d(z, grad, res, M)
+            break
+        d = _newton_direction(u.nodes, grad, cells)
         accepted = False
-        for direction in (d, -grad):
+        for direction in ([-grad] if d is None else [d, -grad]):
             lam = 1.0
             slope = float(grad @ direction)
             for _ in range(40):
-                cand = project(v + lam * direction)
-                D_new, res_new, M_new = objective(cand)
-                if D_new <= D + 1e-4 * lam * slope or D_new < D - 1e-15:
-                    v, D, res, M = cand, D_new, res_new, M_new
-                    accepted = True
+                cand = u.with_values(u.values + lam * direction).convexify()
+                D_new, grad_new, cells_new = objective(cand)
+                # D cannot rank a decrease below its rounding; there the step
+                # must halve the residual instead, and is not shortened further
+                resolved = -lam * slope > 1e-15 * max(1.0, abs(D))
+                if resolved:
+                    accepted = D_new <= D + 1e-4 * lam * slope or D_new < D - 1e-15
+                else:
+                    tv_new = 0.5 * float(np.abs(grad_new).sum())
+                    accepted = tv_new <= 0.5 * tv
+                if accepted:
+                    u, D, grad, cells = cand, D_new, grad_new, cells_new
+                    break
+                if not resolved:
                     break
                 lam *= 0.5
             if accepted:
                 break
         if not accepted:
             break
-    mhat = res["masses"] / M
-    grad = what - mhat
     tv = 0.5 * float(np.abs(grad).sum())
-    sup = float(np.max(np.abs(grad)))
-    return v, it, tv, sup, tv <= tol_tv
+    return u, cells, it, tv, float(np.max(np.abs(grad)))
 
 
-def _minimize_2d(u, what, tol_tv, max_iter):
-    """Projected gradient descent with Armijo backtracking on the exact
-    objective: log int exp(-u) and the cell masses come from
-    ``exp_cell_masses``, so the residual that stops the loop is the one
-    returned."""
-
-    def objective(g):
-        log_total, masses, _ = g.exp_cell_masses()
-        return float(what @ g.values) - log_total, masses / float(np.sum(masses))
-
-    cur = u
-    D, mhat = objective(cur)
-    step = 1.0
-    it = 0
-    for it in range(1, max_iter + 1):
-        grad = what - mhat
-        if 0.5 * float(np.abs(grad).sum()) <= tol_tv:
-            break
-        accepted = False
-        for _ in range(40):
-            cand = cur.with_values(cur.values - step * grad).convexify()
-            D_c, m_c = objective(cand)
-            if D_c <= D - 1e-4 * step * float(grad @ grad):
-                cur, D, mhat = cand, D_c, m_c
-                accepted = True
-                step *= 1.4
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    grad = what - mhat
-    tv = 0.5 * float(np.abs(grad).sum())
-    sup = float(np.max(np.abs(grad)))
-    return cur.values, it, tv, sup, tv <= tol_tv
-
-
-def _coverage(u: ConvexDualGrid) -> float:
-    """Fraction of P* covered by the subgradient image of the window."""
-    act = u.active_nodes()
+def _coverage(u: ConvexDualGrid, act: np.ndarray) -> float:
+    """Fraction of P* covered by the subgradient image of the window; ``act``
+    are the nodes on the lower hull."""
     if u.dimension == 1:
         z = u.nodes[:, 0]
         span = z[act].max() - z[act].min()
@@ -520,7 +468,7 @@ def build_subsolution(
         ax = np.linspace(-window, window, n_side)
         Y1, Y2 = np.meshgrid(ax, ax, indexing="ij")
         ys = np.column_stack([Y1.ravel(), Y2.ravel()])
-    uvals = _lse_value(P, ys)
+    uvals = log_sum_exp(P, ys)[0]
     grad, hess = _lse_grad_hess(P, ys)
     det = np.linalg.det(hess) if l > 1 else hess[:, 0, 0]
     gvals = g_values(data, profile, field, grad)

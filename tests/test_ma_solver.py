@@ -236,7 +236,8 @@ class Test2DSolve:
 
     @pytest.mark.parametrize("name", ["P2-fiber", "square-fiber"])
     def test_default_tolerance_converges(self, request, name):
-        # exact cell masses let projected gradient reach the default 1e-4
+        # exact cell masses and their edge-flux Hessian let damped Newton
+        # reach the default 1e-4 in a few steps
         data = request.getfixturevalue(name.replace("-", "_").replace("P2_fiber", "p2_fiber"))
         fld = normalize_field([0, 0], h_stats(data), data.dual())
         fn = Functionals(data, sg.constant(0.0), fld)
@@ -248,6 +249,17 @@ class Test2DSolve:
         wg = fn.hat_weights(sol.u.geom, "g")
         tv = 0.5 * np.abs(wg / wg.sum() - res["masses"] / res["masses"].sum()).sum()
         assert tv == pytest.approx(sol.residual_tv, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["P2-fiber", "square-fiber"])
+    def test_default_level_converges(self, request, name):
+        # the default level 6 at the default tolerance; damped Newton with
+        # the edge-flux Hessian needs 4 iterations on both, so 50 is ample
+        data = request.getfixturevalue(name.replace("-", "_").replace("P2_fiber", "p2_fiber"))
+        fld = normalize_field([0, 0], h_stats(data), data.dual())
+        fn = Functionals(data, sg.constant(0.0), fld)
+        sol = minimize_ding(fn, max_iter=50)
+        assert sol.u.geom.level == 6
+        assert sol.converged and sol.residual_tv <= 1e-4
 
 
 class TestIndependentODEOracle:
@@ -298,32 +310,114 @@ class TestIndependentODEOracle:
         assert out[-1].sol(y_star - 12.0)[1] == pytest.approx(-1.0, abs=5e-3)
 
 
-def test_newton_direction_matches_dense_solve():
+def _dense_hessian(cells):
+    """L_w - diag m + m m^T over the hull nodes, assembled densely."""
+    act = cells.active
+    K, M = len(act), float(np.sum(cells.masses))
+    pos = {node: k for k, node in enumerate(act)}
+    H = np.zeros((K, K))
+    for (i, j), w in zip(cells.edges, cells.fluxes / M):
+        a, b = pos[i], pos[j]
+        H[a, a] += w
+        H[b, b] += w
+        H[a, b] -= w
+        H[b, a] -= w
+    mhat = cells.masses[act] / M
+    return H - np.diag(mhat) + np.outer(mhat, mhat)
+
+
+def _facet_interpolant(nodes, cells, d_act):
+    # brute force: barycentric coordinates in every facet until one holds
+    out = np.zeros(len(nodes))
+    out[cells.active] = d_act
+    for k in np.setdiff1d(np.arange(len(nodes)), cells.active):
+        for facet in cells.facets:
+            P = nodes[facet]
+            lam = np.linalg.solve((P[1:] - P[0]).T, nodes[k] - P[0])
+            if lam.min() >= -1e-12 and lam.sum() <= 1 + 1e-12:
+                out[k] = out[facet[0]] + lam @ (out[facet[1:]] - out[facet[0]])
+                break
+        else:
+            raise AssertionError(f"node {k} lies on no facet")
+    return out
+
+
+def test_newton_direction_matches_dense_solve(p1_fiber, p2_fiber, square_fiber):
     # the banded solve with a Sherman-Morrison correction against the dense
-    # solve of the assembled tridiagonal-plus-rank-one Hessian
-    from ksm_stab.convex import pl_exp_integral_1d
-    from ksm_stab.ma_solver import _newton_direction_1d
+    # solve of the assembled edge-flux Hessian, in 1D and 2D, on random data
+    # whose nodes are partly above the hull
+    from ksm_stab.ma_solver import _newton_direction
 
     rng = np.random.default_rng(5)
-    z = np.linspace(-1.0, 1.0, 129)
-    for _ in range(5):
-        sl = rng.uniform(-3, 3, size=6)
-        vals = np.max(np.outer(z, sl) + rng.uniform(-1, 1, size=6), axis=1) + 0.3 * z**2
-        res = pl_exp_integral_1d(z, vals)
-        M = float(np.sum(res["masses"]))
-        what = rng.dirichlet(np.ones(len(z)))
-        grad = what - res["masses"] / M
-        d = _newton_direction_1d(z, grad, res, M)
+    cases = [(p1_fiber, 7), (p2_fiber, 4), (square_fiber, 4)]
+    for data, level in [case for case in cases for _ in range(3)]:
+        sl = rng.uniform(-3, 3, size=(6, data.dual().dimension))
+        off = rng.uniform(-1, 1, size=6)
+        u = grid_from_values(
+            data.dual(),
+            lambda zs: np.max(zs @ sl.T + off, axis=1) + 0.3 * np.sum(zs**2, axis=1)
+            + 0.3 * rng.uniform(size=zs.shape[0]),
+            level=level,
+        )
+        cells = u.exp_cells()
+        what = rng.dirichlet(np.ones(u.geom.n_nodes))
+        grad = what - cells.masses / np.sum(cells.masses)
+        d = _newton_direction(u.nodes, grad, cells)
 
-        act = res["active"]
-        K, za, g_act = len(act), z[act], grad[act]
-        mhat = res["masses"][act] / M
-        w = res["fluxes"] / (M * np.diff(za))
-        H = np.outer(mhat, mhat) - np.diag(mhat)
-        H += np.diag(np.concatenate([w, [0]]) + np.concatenate([[0], w]))
-        H -= np.diag(w, 1) + np.diag(w, -1)
-        H += (1e-12 + 1e-3 * np.abs(g_act).sum()) * np.eye(K)
+        act = cells.active
+        g_act = grad[act]
+        H = _dense_hessian(cells) + (1e-12 + 1e-3 * np.abs(g_act).sum()) * np.eye(len(act))
         d_act = np.linalg.solve(H, -g_act)
-        assert K >= 3 and g_act @ d_act < 0
-        ref = np.interp(z, za, d_act)
+        assert 3 <= len(act) < u.geom.n_nodes and g_act @ d_act < 0
+        ref = _facet_interpolant(u.nodes, cells, d_act)
         np.testing.assert_allclose(d, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", ["P2-fiber", "square-fiber"])
+def test_edge_flux_hessian_is_mass_jacobian(request, name):
+    # central differences of the normalized masses on strictly convex data:
+    # d(-m)/dv = L_w - diag m + m m^T (on grid-convex data flattened onto
+    # hull facets m has kinks and differences do not apply)
+    data = request.getfixturevalue(name.replace("-", "_").replace("P2_fiber", "p2_fiber"))
+    fld = normalize_field([0, 0], h_stats(data), data.dual())
+    u = initial_grid(Functionals(data, sg.constant(0.0), fld), level=4)
+    cells = u.exp_cells()
+    m = u.geom.n_nodes
+    assert len(cells.active) == m
+
+    def mhat(v):
+        c = u.with_values(v).exp_cells()
+        return c.masses / np.sum(c.masses)
+
+    h = 1e-5
+    J = np.column_stack(
+        [(mhat(u.values - h * e) - mhat(u.values + h * e)) / (2 * h) for e in np.eye(m)]
+    )
+    H = _dense_hessian(cells)
+    assert np.max(np.abs(J - H)) <= 1e-5 * np.max(np.abs(H))
+
+
+def test_one_hull_per_line_search_trial(p2_fiber, monkeypatch):
+    # convexify hands its hull to the projected values, so an objective
+    # evaluation builds no second hull
+    from ksm_stab import convex
+
+    hulls, trials = [0], [0]
+    hull, exp_cells = convex.ConvexHull, convex.ConvexDualGrid.exp_cells
+
+    def counted_hull(*args, **kwargs):
+        hulls[0] += 1
+        return hull(*args, **kwargs)
+
+    def counted_cells(self):
+        trials[0] += 1
+        return exp_cells(self)
+
+    monkeypatch.setattr(convex, "ConvexHull", counted_hull)
+    monkeypatch.setattr(convex.ConvexDualGrid, "exp_cells", counted_cells)
+    fld = normalize_field([0, 0], h_stats(p2_fiber), p2_fiber.dual())
+    sol = minimize_ding(Functionals(p2_fiber, sg.constant(0.0), fld), level=4)
+    # the start's convexify builds one hull, each trial's one more, and the
+    # exp_cells of every convexified grid finds it cached
+    assert sol.converged and trials[0] >= 3
+    assert hulls[0] == trials[0]
