@@ -6,9 +6,10 @@ Three regimes:
   the critical point of the strictly convex proper moment integral
   Phi(c) = int_{P*} h(z) exp(-<c, z>) dz (Newton with step halving);
 * ``solve_path_1d`` / ``find_tau0`` -- the one-dimensional interpolation paths
-  sigma_tau, bisected in the affine coordinates k(z) = b_1 z + b_2 (the
-  normalization ties b_2 = -b_h b_1, leaving b_1 free), with exact rational
-  admissible intervals and boundary fields;
+  sigma_tau, solved by Brent's method on certified brackets in the affine
+  coordinates k(z) = b_1 z + b_2 (the normalization ties b_2 = -b_h b_1,
+  leaving b_1 free), with exact rational admissible intervals and boundary
+  fields;
 * ``solve_general`` -- damped Newton on the Futaki vector itself for any
   admissible profile, with a safeguard keeping iterates strictly inside the
   admissible set and a boundary-obstruction report when they will not stay.
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .functionals import (
     FiberField,
@@ -174,6 +176,19 @@ def _futaki_1d(data, hs, profile, b1) -> float:
     return float(g_integral(data, profile, fld, lambda zs: zs[:, 0]))
 
 
+def _bracketed_root(f, a: float, b: float, tol: float, max_iter: int):
+    """Brent's method on a bracket [a, b] where f changes sign, run to the
+    rounding of the root.  Returns (root, iterations, |f(root)|, failure):
+    failure is None when |f(root)| <= tol, else the report message."""
+    x, info = brentq(
+        f, a, b, xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=max_iter,
+        full_output=True, disp=False,
+    )
+    res = abs(f(x))
+    why = "iteration cap hit" if not info.converged else "root bracketed to rounding"
+    return x, info.iterations, res, None if res <= tol else f"{why}; best |I| = {res:.3e}"
+
+
 def solve_path_1d(
     data: KSMData,
     tau: float,
@@ -181,7 +196,8 @@ def solve_path_1d(
     tol: float = 1e-11,
     max_iter: int = 300,
 ) -> SolveReport:
-    """Bisect the barycenter condition I_tau(b1) = 0 along the sigma_tau path.
+    """Solve the barycenter condition I_tau(b1) = 0 along the sigma_tau path
+    by Brent's method on the admissible interval of b1.
 
     Endpoint signs are certified at the exact interval endpoints (boundary
     fields, integrated with Jacobi weights); the root satisfies |I| <= tol.
@@ -209,36 +225,19 @@ def solve_path_1d(
             iterations=0,
             diagnostics=diag,
         )
-    a, b = float(lo), float(hi)
-    fa = I_lo
-    val = None
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (a + b)
-        val = _futaki_1d(data, hs, profile, mid)
-        if abs(val) <= tol:
-            fld = _field_from_b1(data, hs, mid)
-            return SolveReport(
-                method="path",
-                success=True,
-                message="root certified",
-                coefficients=tuple(fld.coeffs),
-                residual=abs(val),
-                iterations=it,
-                margins=(fld.k_min - profile.alpha, math.inf),
-                diagnostics={**diag, "b1": mid, "b2": float(-bh) * mid},
-            )
-        if (val > 0) == (fa > 0):
-            a, fa = mid, val
-        else:
-            b = mid
+    b1, it, res, failure = _bracketed_root(
+        lambda b: _futaki_1d(data, hs, profile, b), float(lo), float(hi), tol, max_iter
+    )
+    fld = _field_from_b1(data, hs, b1)
     return SolveReport(
         method="path",
-        success=False,
-        message=f"iteration cap hit; best |I| = {abs(val):.3e}",
-        coefficients=None,
-        residual=abs(val),
-        iterations=max_iter,
-        diagnostics=diag,
+        success=failure is None,
+        message=failure or "root certified",
+        coefficients=None if failure else tuple(fld.coeffs),
+        residual=res,
+        iterations=it,
+        margins=None if failure else (fld.k_min - profile.alpha, math.inf),
+        diagnostics=diag if failure else {**diag, "b1": b1, "b2": float(-bh) * b1},
     )
 
 
@@ -250,7 +249,7 @@ def find_tau0(
     grid_step: float = 1e-3,
     max_iter: int = 300,
 ) -> tuple[float | None, SolveReport]:
-    """Bisection in tau for a vanishing boundary Futaki value.
+    """Brent's method in tau for a vanishing boundary Futaki value.
 
     The field sits exactly at an admissible-interval endpoint (k_min = -1, so
     g vanishes at one dual vertex).  ``boundary`` picks the endpoint: "lower"
@@ -285,36 +284,16 @@ def find_tau0(
         }
         if not changes:
             continue
-        a, b = changes[0]
-        fa = I(a)
-        val = None
-        for it in range(1, max_iter + 1):
-            mid = 0.5 * (a + b)
-            val = I(mid)
-            if abs(val) <= tol:
-                report = SolveReport(
-                    method="tau0",
-                    success=True,
-                    message=f"boundary root certified at the {side_name} endpoint",
-                    coefficients=tuple(fld.coeffs),
-                    residual=abs(val),
-                    iterations=it,
-                    margins=(0.0, math.inf),
-                    diagnostics={**all_diag, "tau0": mid, "side": side_name},
-                )
-                return mid, report
-            if (val > 0) == (fa > 0):
-                a, fa = mid, val
-            else:
-                b = mid
-        return None, SolveReport(
+        tau0, it, res, failure = _bracketed_root(I, *changes[0], tol, max_iter)
+        return (None if failure else tau0), SolveReport(
             method="tau0",
-            success=False,
-            message=f"iteration cap hit; best |I| = {abs(val):.3e}",
-            coefficients=None,
-            residual=abs(val),
-            iterations=max_iter,
-            diagnostics=all_diag,
+            success=failure is None,
+            message=failure or f"boundary root certified at the {side_name} endpoint",
+            coefficients=None if failure else tuple(fld.coeffs),
+            residual=res,
+            iterations=it,
+            margins=None if failure else (0.0, math.inf),
+            diagnostics=all_diag if failure else {**all_diag, "tau0": tau0, "side": side_name},
         )
     return None, SolveReport(
         method="tau0",

@@ -398,7 +398,8 @@ def simplex_g_integrals(data, profile, field, simplices, p=None) -> np.ndarray:
 
 
 def g_integral(data, profile, field, poly_fn):
-    """int_{P*} poly_fn(z) g(z) dz over the triangulation of P*.
+    """int_{P*} poly_fn(z) g(z) dz over the triangulation of P* (g = h when
+    ``profile`` is None).
 
     ``poly_fn`` maps an (m, l) batch to (m,) or (m, q) values of polynomials
     of degree <= 2; returns a float or a (q,) array.

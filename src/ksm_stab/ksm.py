@@ -8,8 +8,9 @@ dual polytope P*.
 
 h is a polynomial with rational coefficients, so its moments over P* are
 computed twice: exactly (rational simplex-monomial integration, used wherever
-downstream code needs exact normalization constants) and by the generic
-quadrature pipeline (the float channel the rest of the library runs on).
+downstream code needs exact normalization constants) and by the pushforward
+rule of ``functionals.simplex_g_integrals`` with the weight h, exact for
+polynomials (the float channel the rest of the library runs on).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .polytope import (
     DualPolytope,
     FanoPolytope,
     PolytopeError,
-    integrate,
     integrate_polynomial_exact,
 )
 
@@ -198,7 +198,8 @@ def h_polynomial(data: KSMData) -> dict:
 class HStats:
     """h-weighted volume, barycenter and Kaehler-Einstein defect of P*.
 
-    Float fields come from the quadrature pipeline; the *_exact fields hold
+    Float fields come from the pushforward rule of ``simplex_g_integrals``,
+    exact for the polynomial h up to rounding; the *_exact fields hold
     the rational values from exact polynomial integration (h is polynomial).
     The defect vector is (int z_k h dz)_k; its vanishing is the classical
     Kaehler-Einstein criterion.
@@ -220,18 +221,15 @@ class HStats:
 
 def h_stats(data: KSMData) -> HStats:
     """Volume, barycenter and KE defect of P* under h dz (l <= 2)."""
+    from .functionals import g_integral  # functionals imports this module
+
     if data.fiber_dimension > 2:
         raise PolytopeError("h statistics implemented for l <= 2 only")
     dual = data.dual()
     l = data.fiber_dimension
 
-    vol = integrate(dual, lambda zs: h_values(data, zs))
-    defect = np.array(
-        [
-            integrate(dual, lambda zs, k=k: zs[:, k] * h_values(data, zs))
-            for k in range(l)
-        ]
-    )
+    moments = g_integral(data, None, None, lambda zs: np.column_stack([np.ones(len(zs)), zs]))
+    vol, defect = float(moments[0]), moments[1:]
 
     poly = h_polynomial(data)
     vol_exact = integrate_polynomial_exact(dual, poly)

@@ -102,39 +102,59 @@ class AlexandrovMeasure:
 # ---------------------------------------------------------------------------
 
 
+LSE_CLIP = 80.0  # |y_i| bound: a node on the boundary of P* has no maximizer
+LSE_MAX_STEPS = 400  # guard only: the slowest rows, on the boundary of P*, take under 100
+
+
 def _lse_grad_hess(points: np.ndarray, ys: np.ndarray):
-    W = log_sum_exp(points, ys)[1]
+    """log sum_a exp(<a, y>) per row y of ``ys``, its gradient and its
+    Hessian: the softmax mean and covariance of the points a."""
+    lse, W = log_sum_exp(points, ys)
     grad = W @ points
-    # hess_i = sum_j w_ij p_j p_j^T - grad_i grad_i^T
-    hess = np.einsum("ij,jk,jl->ikl", W, points, points) - np.einsum("ik,il->ikl", grad, grad)
-    return grad, hess
+    m, l = points.shape
+    pp = (points[:, :, None] * points[:, None, :]).reshape(m, l * l)
+    hess = (W @ pp).reshape(-1, l, l) - grad[:, :, None] * grad[:, None, :]
+    return lse, grad, hess
 
 
-def _lse_conjugate(points: np.ndarray, zs: np.ndarray, cap: float = 80.0) -> np.ndarray:
-    """sup_y (<y,z> - log sum exp(<p, y>)) per row of zs, clipped at |y| <= cap."""
-    l = points.shape[1]
-    m = zs.shape[0]
-    if l == 1:
-        lo = np.full(m, -cap)
-        hi = np.full(m, cap)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            g = log_sum_exp(points, mid.reshape(-1, 1))[1] @ points[:, 0]
-            left = g < zs[:, 0]
-            lo = np.where(left, mid, lo)
-            hi = np.where(left, hi, mid)
-        y = (0.5 * (lo + hi)).reshape(-1, 1)
+def _lse_conjugate(points: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """sup_y (<y, z> - log sum_a exp(<a, y>)) per row z of ``zs``, over
+    |y_i| <= LSE_CLIP, by damped Newton from y = 0: the step H^{-1} r,
+    r = z - grad, is cut to length 5 and then clipped to the box.
+
+    A row stops once the gain r.dy of its step dy is at most eps |value|,
+    the rounding of its value; only rows that have not stopped step again.
+    Interior rows stop after 5-6 steps.  On the boundary of P* there is no
+    maximizer: a row creeps outward until the receding terms fall below
+    that rounding; at a vertex the value rounds to 0, and the row goes on
+    until its gradient rounds to z or the clip stops it.  A row still going
+    after LSE_MAX_STEPS raises RuntimeError.
+    """
+    y = np.zeros_like(zs)
+    eye = np.eye(points.shape[1])
+    todo = np.arange(len(zs))
+    for _ in range(LSE_MAX_STEPS):
+        yt, zt = y[todo], zs[todo]
+        lse, grad, hess = _lse_grad_hess(points, yt)
+        r = zt - grad
+        # relative, so that boundary rows do not stall where the Hessian
+        # vanishes; the floor keeps a Hessian that rounds to zero invertible
+        reg = 1e-13 * np.trace(hess, axis1=1, axis2=2) + 1e-30
+        dy = np.linalg.solve(hess + reg[:, None, None] * eye, r[:, :, None])[:, :, 0]
+        norms = np.linalg.norm(dy, axis=1, keepdims=True)
+        dy *= np.minimum(1.0, 5.0 / np.maximum(norms, 1e-300))
+        y_new = np.clip(yt + dy, -LSE_CLIP, LSE_CLIP)
+        y[todo] = y_new
+        gain = np.einsum("ij,ij->i", r, y_new - yt)
+        value = np.einsum("ij,ij->i", yt, zt) - lse
+        todo = todo[gain > np.finfo(float).eps * np.abs(value)]
+        if not todo.size:
+            break
     else:
-        y = np.zeros_like(zs)
-        for _ in range(120):
-            g, H = _lse_grad_hess(points, y)
-            r = zs - g
-            Hd = H + 1e-13 * np.eye(l)
-            step = np.linalg.solve(Hd, r[:, :, None])[:, :, 0]
-            norms = np.linalg.norm(step, axis=1, keepdims=True)
-            step = step * np.minimum(1.0, 5.0 / np.maximum(norms, 1e-300))
-            y = y + step
-            np.clip(y, -cap, cap, out=y)
+        raise RuntimeError(
+            f"log-sum-exp conjugate: {todo.size} rows unconverged "
+            f"after {LSE_MAX_STEPS} Newton steps"
+        )
     return np.einsum("ij,ij->i", y, zs) - log_sum_exp(points, y)[0]
 
 
@@ -468,9 +488,8 @@ def build_subsolution(
         ax = np.linspace(-window, window, n_side)
         Y1, Y2 = np.meshgrid(ax, ax, indexing="ij")
         ys = np.column_stack([Y1.ravel(), Y2.ravel()])
-    uvals = log_sum_exp(P, ys)[0]
-    grad, hess = _lse_grad_hess(P, ys)
-    det = np.linalg.det(hess) if l > 1 else hess[:, 0, 0]
+    uvals, grad, hess = _lse_grad_hess(P, ys)
+    det = np.linalg.det(hess)
     gvals = g_values(data, profile, field, grad)
     with np.errstate(divide="ignore"):
         log_ratio = -uvals - np.log(gvals) - np.log(det)

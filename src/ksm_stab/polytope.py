@@ -565,10 +565,12 @@ def integrate(
 ):
     """Integrate f over P* by simplex-decomposed Gauss quadrature.
 
-    ``f`` must accept an (m, l) array of points and return (m,) values.
-    Starting from ``rule.refinement``, the subdivision doubles until two
-    successive estimates differ by less than ``tol`` (default 1e-12 for l = 1,
-    1e-10 for l = 2).  Returns the last estimate, optionally with the error
+    No library code calls it: the tests use it as an independent reference,
+    and the benchmark tracer counts its calls.  ``f`` must accept an (m, l)
+    array of points and return (m,) values.  Starting from
+    ``rule.refinement``, the subdivision doubles until two successive
+    estimates differ by less than ``tol`` (default 1e-12 for l = 1, 1e-10
+    for l = 2).  Returns the last estimate, optionally with the error
     estimate from the final doubling.  Raises QuadratureError when the next
     level would exceed ``max_refinement`` or MAX_LEVEL_NODES points.
     """

@@ -114,6 +114,9 @@ class TestTau0:
         # first sign change on the 1e-3 grid brackets the certified root
         lo, hi = rep.diagnostics["lower"]["sign_changes"][0]
         assert lo <= tau0 <= hi
+        # the root is driven to rounding: the 30-digit mpmath value of
+        # bench/references.json, not just to |I| <= 1e-11 (tau0 to 5e-11)
+        assert tau0 == pytest.approx(0.6139203442022751, abs=1e-13)
 
     def test_z2_boundary_potentials_exact(self, z2):
         _, rep = find_tau0(z2)

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from ksm_stab import ma_solver
 from ksm_stab import sigma as sg
-from ksm_stab.convex import grid_from_values, support_grid
+from ksm_stab.convex import dual_grid_geometry, grid_from_values, support_grid
 from ksm_stab.functionals import Functionals, normalize_field
 from ksm_stab.ksm import h_stats
 from ksm_stab.ma_solver import (
+    LSE_CLIP,
     UnstableInputError,
+    _half_lattice,
+    _lse_conjugate,
     alexandrov_measure,
     build_subsolution,
     initial_grid,
@@ -27,6 +31,84 @@ def product_solution(product_fn):
 @pytest.fixture(scope="module")
 def z1_solution(z1_soliton_fn):
     return minimize_ding(z1_soliton_fn)
+
+
+def _lse_conjugate_mp(points, z, dps=30):
+    """mpmath oracle for _lse_conjugate: damped Newton with the covariance
+    taken about the mean (no cancellation), the same step limit and clip,
+    run until the gain of a step is below 1e-28."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        P = [[mp.mpf(float(c)) for c in a] for a in points]
+        z = [mp.mpf(float(c)) for c in z]
+        l = len(z)
+        y = [mp.mpf(0)] * l
+
+        def lse_moments(y):
+            e = [mp.exp(mp.fsum(a[i] * y[i] for i in range(l))) for a in P]
+            S = mp.fsum(e)
+            w = [x / S for x in e]
+            g = [mp.fsum(w[j] * P[j][i] for j in range(len(P))) for i in range(l)]
+            return mp.log(S), w, g
+
+        for _ in range(400):
+            _, w, g = lse_moments(y)
+            H = mp.matrix(l, l)
+            for i in range(l):
+                for k in range(l):
+                    H[i, k] = mp.fsum(w[j] * (P[j][i] - g[i]) * (P[j][k] - g[k]) for j in range(len(P)))
+            r = [z[i] - g[i] for i in range(l)]
+            dy = mp.lu_solve(H, mp.matrix(r))
+            f = min(mp.mpf(1), 5 / mp.norm(dy)) if mp.norm(dy) > 0 else 1
+            y_new = [min(mp.mpf(LSE_CLIP), max(-mp.mpf(LSE_CLIP), y[i] + f * dy[i])) for i in range(l)]
+            gain = mp.fsum(r[i] * (y_new[i] - y[i]) for i in range(l))
+            y = y_new
+            if gain < mp.mpf(10) ** -28:
+                break
+        else:
+            raise AssertionError("mpmath oracle did not converge")
+        return float(mp.fsum(y[i] * z[i] for i in range(l)) - lse_moments(y)[0])
+
+
+class TestLseConjugate:
+    @pytest.mark.parametrize("level", [9, 14])
+    def test_1d_closed_form(self, p1_fiber, level):
+        # points {-1, 0, 1}: the maximizer solves (1 - z) x^2 - z x - (1 + z) = 0
+        # in x = e^y; at z = +-1 the supremum 0 is approached as |y| -> inf,
+        # and the clipped one lies within e^-80 of it
+        dual = p1_fiber.dual()
+        z = dual_grid_geometry(dual, level).nodes[:, 0]
+        got = _lse_conjugate(dual.lattice_array, z[:, None])
+        want = np.zeros_like(z)
+        zi = z[np.abs(z) < 1]
+        y = np.log((zi + np.sqrt(zi**2 + 4 * (1 - zi**2))) / (2 * (1 - zi)))
+        want[np.abs(z) < 1] = zi * y - np.log(np.exp(y) + 1 + np.exp(-y))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        assert got[0] == got[-1] == 0.0
+
+    @pytest.mark.parametrize("name", ["P2-fiber", "square-fiber"])
+    @pytest.mark.parametrize("points", ["lattice", "half-lattice"])
+    def test_2d_mpmath_oracle(self, request, name, points):
+        data = request.getfixturevalue(name.replace("-", "_").replace("P2_fiber", "p2_fiber"))
+        dual = data.dual()
+        P = dual.lattice_array if points == "lattice" else _half_lattice(dual)
+        geom = dual_grid_geometry(dual, 6)
+        inside = np.all(dual.normal_array @ geom.nodes.T < 1 - 1e-12, axis=0)
+        rng = np.random.default_rng(6)
+        rows = np.concatenate(
+            [rng.choice(np.nonzero(inside)[0], 12, replace=False), geom.vertex_node_indices]
+        )
+        got = _lse_conjugate(P, geom.nodes[rows])
+        want = [_lse_conjugate_mp(P, geom.nodes[i]) for i in rows]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_unconverged_row_raises(self, p2_fiber, monkeypatch):
+        # vertex rows creep toward the clip and need far more than 3 steps
+        monkeypatch.setattr(ma_solver, "LSE_MAX_STEPS", 3)
+        dual = p2_fiber.dual()
+        with pytest.raises(RuntimeError, match="unconverged"):
+            _lse_conjugate(dual.lattice_array, dual.vertex_array)
 
 
 class TestProductOracle:
