@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convex import PLConvex, grid_from_values
+from .convex import PLConvex, grid_from_values, support_grid
 from .datasets import dataset_names, load_dataset
 from .field_solver import (
     find_tau0,
@@ -104,27 +104,36 @@ def _solver_kwargs(cfg):
     return kw
 
 
-def resolve_field(cfg, data, profile, hs):
-    spec = cfg.get("field", {"c": [0.0] * data.fiber_dimension})
-    dual = data.dual()
-    if "c" in spec:
-        fld = normalize_field(spec["c"], hs, dual)
-        return fld, None
-    method = spec.get("solve")
+def _solve_field(cfg, data, method):
+    """Run the field solver ``method`` (soliton | path | tau0 | general) with
+    the config's solver settings and return its SolveReport."""
+    spec = cfg.get("field", {})
     kw = _solver_kwargs(cfg)
     if method == "soliton":
-        rep = solve_soliton(data, **kw)
-    elif method == "path":
-        rep = solve_path_1d(data, float(spec["tau"]), **kw)
-    elif method == "tau0":
-        _, rep = find_tau0(data, **kw)
-    elif method == "general":
-        rep = solve_general(data, profile, spec.get("c0", [0.0] * data.fiber_dimension), **kw)
-    else:
-        raise ConfigError(f"unknown field solve method {method!r}")
+        return solve_soliton(data, **kw)
+    if method == "path":
+        return solve_path_1d(data, float(spec["tau"]), **kw)
+    if method == "tau0":
+        return find_tau0(data, **kw)[1]
+    if method == "general":
+        if "sigma" not in cfg:
+            raise ConfigError("the general solver needs a 'sigma' profile")
+        profile = profile_from_json(cfg["sigma"])
+        return solve_general(data, profile, spec.get("c0", [0.0] * data.fiber_dimension), **kw)
+    raise ConfigError(f"unknown field solve method {method!r}")
+
+
+def resolve_field(cfg, data, hs):
+    """The config's field: explicit coefficients ``c``, or the solution of
+    its ``solve`` method.  Returns (field or None if the solve failed,
+    SolveReport or None)."""
+    spec = cfg.get("field", {"c": [0.0] * data.fiber_dimension})
+    if "c" in spec:
+        return normalize_field(spec["c"], hs, data.dual()), None
+    rep = _solve_field(cfg, data, spec.get("solve"))
     if not rep.success or rep.coefficients is None:
         return None, rep
-    return normalize_field(list(rep.coefficients), hs, dual), rep
+    return normalize_field(list(rep.coefficients), hs, data.dual()), rep
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +191,7 @@ def _task_stability(cfg, out):
     data = load_ksm(cfg["ksm"])
     profile = profile_from_json(cfg["sigma"])
     hs = h_stats(data)
-    fld, solve_rep = resolve_field(cfg, data, profile, hs)
+    fld, solve_rep = resolve_field(cfg, data, hs)
     res = {"solver": solve_rep.to_json() if solve_rep else None}
     if fld is None:
         res["verdict"] = None
@@ -200,22 +209,7 @@ def _task_stability(cfg, out):
 
 def _task_solve_field(cfg, out):
     data = load_ksm(cfg["ksm"])
-    spec = cfg.get("field", {})
-    method = spec.get("solve", "soliton")
-    kw = _solver_kwargs(cfg)
-    if method == "soliton":
-        rep = solve_soliton(data, **kw)
-    elif method == "path":
-        rep = solve_path_1d(data, float(spec["tau"]), **kw)
-    elif method == "tau0":
-        tau0, rep = find_tau0(data, **kw)
-    elif method == "general":
-        if "sigma" not in cfg:
-            raise ConfigError("the general solver needs a 'sigma' profile")
-        profile = profile_from_json(cfg["sigma"])
-        rep = solve_general(data, profile, spec.get("c0", [0.0] * data.fiber_dimension), **kw)
-    else:
-        raise ConfigError(f"unknown solve method {method!r}")
+    rep = _solve_field(cfg, data, cfg.get("field", {}).get("solve", "soliton"))
     return {"solver": rep.to_json()}
 
 
@@ -223,7 +217,7 @@ def _task_solve_metric(cfg, out):
     data = load_ksm(cfg["ksm"])
     profile = profile_from_json(cfg["sigma"])
     hs = h_stats(data)
-    fld, solve_rep = resolve_field(cfg, data, profile, hs)
+    fld, solve_rep = resolve_field(cfg, data, hs)
     if fld is None:
         return {"solver": solve_rep.to_json(), "warning": "field solve failed"}
     fn = Functionals(data, profile, fld)
@@ -257,16 +251,14 @@ def _task_geodesic(cfg, out):
     data = load_ksm(cfg["ksm"])
     profile = profile_from_json(cfg["sigma"])
     hs = h_stats(data)
-    fld, solve_rep = resolve_field(cfg, data, profile, hs)
+    fld, solve_rep = resolve_field(cfg, data, hs)
     if fld is None:
         return {"solver": solve_rep.to_json(), "warning": "field solve failed"}
     fn = Functionals(data, profile, fld)
     phi = PLConvex.from_json(cfg["phi"])
     stats = _stats_block(fn.hstats, fn.gstats)
     ts = [float(t) for t in cfg.get("t_values", [0.0, 1.0, 2.0, 5.0, 10.0])]
-    u0 = grid_from_values(
-        data.dual(), lambda zs: np.zeros(zs.shape[0]), level=cfg.get("level")
-    )
+    u0 = support_grid(data.dual(), level=cfg.get("level"))
     inv = fn.ding_invariant(phi)
     D0 = fn.ding(u0)
 
@@ -292,7 +284,7 @@ def _task_probe(cfg, out):
     data = load_ksm(cfg["ksm"])
     profile = profile_from_json(cfg["sigma"])
     hs = h_stats(data)
-    fld, solve_rep = resolve_field(cfg, data, profile, hs)
+    fld, solve_rep = resolve_field(cfg, data, hs)
     if fld is None:
         return {"solver": solve_rep.to_json(), "warning": "field solve failed"}
     fn = Functionals(data, profile, fld)
@@ -305,7 +297,7 @@ def _task_probe(cfg, out):
         samples.append(u)
     for t in (2.0, 8.0):
         phi = PLConvex.make([((1,) * data.fiber_dimension, 0), ((-1,) * data.fiber_dimension, 0)], offset=1)
-        u0 = grid_from_values(dual, lambda zs: np.zeros(zs.shape[0]), level=cfg.get("level"))
+        u0 = support_grid(dual, level=cfg.get("level"))
         samples.append(fn.geodesic_point(u0, phi, t))
     probe = fn.coercivity_probe(samples, j_kind=cfg.get("j_kind", "red"))
     if cfg.get("plots") and out is not None:

@@ -155,18 +155,25 @@ class PLConvex:
 
 @dataclass(eq=False)
 class DualGridGeometry:
-    """Nodes of the uniformly refined origin-cone triangulation of P*.
+    """The uniformly refined origin-cone triangulation of P*, on exact nodes.
 
-    1D: sorted nodes over [-1, 1] (2^level cells).  2D: per base triangle an
-    edge subdivision into 2^(level-2) parts; ``triangles`` lists node-index
-    triples of the subtriangulation.
+    Each simplex of ``dual.triangulation`` is split into k^l cells,
+    k = 2^max(level - l, 0): 2^level cells over [-1, 1] in 1D (level 0 is
+    level 1), an edge subdivision into 2^(level-2) parts in 2D.  The nodes
+    are the integer rows ``numerators`` over ``denominator``, unique and in
+    lexicographic coordinate order (sorted in 1D); the banded Newton solve
+    of the Ding minimizer relies on that order.  ``cells`` lists the node
+    indices of every cell; ``on_face[i, f]`` says exactly whether node i
+    lies on the face <normal_array[f], z> = 1 of P*.
     """
 
     dual: DualPolytope
     level: int
-    nodes: np.ndarray  # (m, l) float
-    nodes_exact: tuple  # tuple of Fraction tuples, same order
-    triangles: tuple[tuple[int, int, int], ...]  # empty in 1D
+    numerators: np.ndarray  # (m, l) int64
+    denominator: int
+    nodes: np.ndarray  # (m, l) float, numerators / denominator
+    cells: np.ndarray  # (C, l + 1) node indices
+    on_face: np.ndarray  # (m, F) bool
     vertex_node_indices: tuple[int, ...]  # grid index of each dual vertex
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -179,6 +186,27 @@ class DualGridGeometry:
         return self.nodes.shape[0]
 
 
+def _subdivision(l: int, k: int):
+    """Edgewise subdivision of the standard l-simplex into k^l cells.
+
+    Returns the barycentric integer weights (sum k) of its lattice points,
+    (P, l + 1) in lexicographic order of the multi-indices a, and the cells
+    as (k^l, l + 1) point indices: a + {0, e_1, .., e_l} for |a| <= k - 1
+    and, in 2D, a + {e_1, e_1 + e_2, e_2} for |a| <= k - 2, the two kinds
+    interleaved per a.
+    """
+    box = np.stack(np.meshgrid(*[np.arange(k + 1)] * l, indexing="ij"), axis=-1).reshape(-1, l)
+    a = box[box.sum(axis=1) <= k]
+    index = np.zeros((k + 1,) * l, dtype=np.int64)
+    index[tuple(a.T)] = np.arange(len(a))
+    shapes = [np.vstack([np.zeros(l, dtype=np.int64), np.eye(l, dtype=np.int64)])]
+    if l == 2:
+        shapes.append(np.array([[1, 0], [1, 1], [0, 1]]))
+    corners = a[:, None, None, :] + np.stack(shapes)[None]  # (P, kinds, l + 1, l)
+    corners = corners[a.sum(axis=1)[:, None] <= k - 1 - np.arange(len(shapes))]
+    return np.column_stack([k - a.sum(axis=1), a]), index[tuple(np.moveaxis(corners, -1, 0))]
+
+
 def dual_grid_geometry(dual: DualPolytope, level: int | None = None) -> DualGridGeometry:
     l = dual.dimension
     if l not in (1, 2):
@@ -189,68 +217,32 @@ def dual_grid_geometry(dual: DualPolytope, level: int | None = None) -> DualGrid
     if key in dual._cache:
         return dual._cache[key]
 
-    if l == 1:
-        n_cells = 2**level
-        # exact nodes; the 1D dual is always [-1, 1]
-        exact = [Fraction(-n_cells + 2 * i, n_cells) for i in range(n_cells + 1)]
-        nodes = np.array([[float(x)] for x in exact])
-        vidx = []
-        for v in dual.vertices:
-            vidx.append(exact.index(v[0]))
-        geom = DualGridGeometry(
-            dual, level, nodes, tuple((x,) for x in exact), (), tuple(vidx)
-        )
-    else:
-        k = 2 ** max(level - 2, 0)
-        index_of: dict[tuple[Fraction, Fraction], int] = {}
-        exact: list[tuple[Fraction, Fraction]] = []
-
-        def node_index(p):
-            if p not in index_of:
-                index_of[p] = len(exact)
-                exact.append(p)
-            return index_of[p]
-
-        triangles = []
-        pts = dual.tri_points
-        for simplex in dual.triangulation:
-            v0, v1, v2 = (pts[i] for i in simplex)
-            e1 = tuple(v1[c] - v0[c] for c in range(2))
-            e2 = tuple(v2[c] - v0[c] for c in range(2))
-
-            def P(i, j):
-                return (
-                    v0[0] + Fraction(i, k) * e1[0] + Fraction(j, k) * e2[0],
-                    v0[1] + Fraction(i, k) * e1[1] + Fraction(j, k) * e2[1],
-                )
-
-            for i in range(k):
-                for j in range(k - i):
-                    a, b, c = node_index(P(i, j)), node_index(P(i + 1, j)), node_index(P(i, j + 1))
-                    triangles.append((a, b, c))
-                    if i + j < k - 1:
-                        d = node_index(P(i + 1, j + 1))
-                        triangles.append((b, d, c))
-        nodes = np.array([[float(x), float(y)] for x, y in exact])
-        vidx = tuple(index_of[v] for v in dual.vertices)
-        geom = DualGridGeometry(
-            dual, level, nodes, tuple(exact), tuple(triangles), vidx
-        )
+    k = 2 ** max(level - l, 0)
+    pts = dual.tri_points  # vertices + origin
+    lcm = math.lcm(*(x.denominator for p in pts for x in p))
+    corners = np.array([[int(x * lcm) for x in p] for p in pts], dtype=np.int64)
+    simplices = corners[np.array(dual.triangulation)]  # (S, l + 1, l)
+    weights, local_cells = _subdivision(l, k)
+    candidates = np.einsum("pb,sbd->spd", weights, simplices).reshape(-1, l)
+    # the corners (times k) go last, so their inverse indices are the vertex nodes
+    num, inv = np.unique(
+        np.concatenate([candidates, k * corners]), axis=0, return_inverse=True
+    )
+    cells = inv[np.arange(len(simplices))[:, None, None] * len(weights) + local_cells]
+    normals = np.array([n for n, _ in dual.half_spaces], dtype=np.int64)  # <n, z> <= 1
+    den, n_cand = k * lcm, len(candidates)
+    geom = DualGridGeometry(
+        dual,
+        level,
+        num,
+        den,
+        num / den,
+        cells.reshape(-1, l + 1),
+        num @ normals.T == den,
+        tuple(int(i) for i in inv[n_cand : n_cand + dual.n_vertices]),
+    )
     dual._cache[key] = geom
     return geom
-
-
-def _face_incidence(geom: DualGridGeometry) -> np.ndarray:
-    """on_face[i, f]: node i lies on the edge <normal_array[f], z> = 1 of P*
-    (decided exactly on the rational nodes)."""
-    if "faces" not in geom._cache:
-        geom._cache["faces"] = np.array(
-            [
-                [sum(n * x for n, x in zip(nrm, z)) == rhs for nrm, rhs in geom.dual.half_spaces]
-                for z in geom.nodes_exact
-            ]
-        )
-    return geom._cache["faces"]
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +671,7 @@ class ConvexDualGrid:
                 res["log_total"], res["masses"], act, pairs, fluxes, pairs, b[:, None], us
             )
         act, simplices, ys, us = self._lower_hull_2d()
-        on_face, normals = _face_incidence(self.geom), self.dual.normal_array
+        on_face, normals = self.geom.on_face, self.dual.normal_array
         m = self.geom.n_nodes
         s0 = float(np.min(us))
         w = us - s0
@@ -791,7 +783,7 @@ class ConvexDualGrid:
         zz = np.atleast_1d(np.asarray(z, dtype=float))
         if self.dimension == 1:
             return float(np.interp(zz[0], self.nodes[:, 0], self.values))
-        for (i, j, k) in self.geom.triangles:
+        for (i, j, k) in self.geom.cells:
             A = np.column_stack([self.nodes[j] - self.nodes[i], self.nodes[k] - self.nodes[i]])
             try:
                 lam = np.linalg.solve(A, zz - self.nodes[i])

@@ -165,9 +165,14 @@ def _field_from_b1(data: KSMData, hs, b1) -> FiberField:
 def path_interval_1d(data: KSMData) -> tuple[Fraction, Fraction]:
     """Exact admissible interval of b1 for the tau-paths (alpha = -1):
     k stays > -1 on P* iff b1 in (-1/(1 - b_h), 1/(1 + b_h))."""
+    return _path_interval(data, h_stats(data))
+
+
+def _path_interval(data: KSMData, hs) -> tuple[Fraction, Fraction]:
+    """``path_interval_1d`` from the h-statistics ``hs`` of ``data``."""
     if data.fiber_dimension != 1:
         raise ValueError("tau-paths are one-dimensional")
-    bh = h_stats(data).barycenter_h_exact[0]
+    bh = hs.barycenter_h_exact[0]
     return (Fraction(-1) / (1 - bh), Fraction(1) / (1 + bh))
 
 
@@ -205,7 +210,7 @@ def solve_path_1d(
     """
     profile = tau_mix(tau)
     hs = h_stats(data)
-    lo, hi = path_interval_1d(data)
+    lo, hi = _path_interval(data, hs)
     bh = hs.barycenter_h_exact[0]
     I_lo = _futaki_1d(data, hs, profile, lo)
     I_hi = _futaki_1d(data, hs, profile, hi)
@@ -258,7 +263,7 @@ def find_tau0(
     bracketed root is certified to |I| <= tol.  Returns (tau0 or None, report).
     """
     hs = h_stats(data)
-    lo, hi = path_interval_1d(data)
+    lo, hi = _path_interval(data, hs)
     sides = {"lower": [lo], "upper": [hi], "auto": [lo, hi]}[boundary]
     all_diag = {}
     for b1 in sides:

@@ -33,11 +33,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from .convex import (
-    ConvexDualGrid,
-    PLConvex,
-    grid_from_values,
-)
+from .convex import ConvexDualGrid, PLConvex
 from .ksm import HStats, KSMData, h_stats, h_values
 from .polytope import DualPolytope, _reference_rule
 from .sigma import SigmaProfile
@@ -549,11 +545,7 @@ class Functionals:
         key = (id(geom), kind)
         if key in self._hat_cache:
             return self._hat_cache[key]
-        if geom.dimension == 1:
-            m = geom.n_nodes
-            cells = np.column_stack([np.arange(m - 1), np.arange(1, m)])
-        else:
-            cells = np.asarray(geom.triangles)
+        cells = geom.cells
         simplices = geom.nodes[cells]
         prof, fld = (self.profile, self.field) if kind == "g" else (None, None)
         per_vertex = simplex_g_integrals(
@@ -564,11 +556,6 @@ class Functionals:
         return w
 
     # -- core functionals ----------------------------------------------------
-
-    def grid(self, level=None, *, window=None, values=None) -> ConvexDualGrid:
-        if values is None:
-            values = lambda zs: np.zeros(zs.shape[0])
-        return grid_from_values(self.dual, values, level=level, window=window)
 
     def ding(self, u: ConvexDualGrid, *, return_parts: bool = False):
         """D(u) = (1/|P*|_g) int u* g dz - log int exp(-u) dy."""

@@ -178,11 +178,13 @@ def _newton_direction(nodes: np.ndarray, grad: np.ndarray, cells: ExpCells):
     """Damped Newton direction from the exact Hessian of -log int exp(-u),
     in 1D and 2D alike: (L_w - diag m + eps I + m m^T) d = -grad on the hull
     nodes, with m the normalized cell masses and L_w the graph Laplacian of
-    the edge fluxes.  In coordinate order L_w is banded (bandwidth 1 in 1D,
-    about one grid column in 2D) and is solved as such; the rank-one term
-    goes by Sherman-Morrison.  Nodes off the hull get the interpolant of d
-    over their facet.  None when the solve fails or gives no descent."""
-    act = cells.active[np.lexsort(nodes[cells.active].T[::-1])]
+    the edge fluxes.  The hull nodes ``cells.active`` are sorted by index,
+    which is lexicographic coordinate order (``DualGridGeometry``); in that
+    order L_w is banded (bandwidth 1 in 1D, about one grid column in 2D) and
+    is solved as such; the rank-one term goes by Sherman-Morrison.  Nodes
+    off the hull get the interpolant of d over their facet.  None when the
+    solve fails or gives no descent."""
+    act = cells.active
     K, M = len(act), float(np.sum(cells.masses))
     pos = np.empty(len(nodes), dtype=int)
     pos[act] = np.arange(K)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from ksm_stab.convex import (
     PLConvex,
     WindowTooSmallError,
     _exp_neg_dd2,
+    dual_grid_geometry,
     grid_from_values,
     pl_exp_integral_1d,
     support_grid,
 )
+from ksm_stab.datasets import dataset_names, load_dataset
 from ksm_stab.polytope import support_function
 
 from conftest import product_oracle_dual_values
@@ -148,6 +151,59 @@ class TestExpIntegral2D:
         assert res["total"] == pytest.approx(oracle.sum(), rel=1e-9)
         mhat = res["masses"] / res["masses"].sum()
         assert mhat == pytest.approx(oracle / oracle.sum(), rel=1e-8, abs=1e-15)
+
+
+GEOMETRY_LEVELS = {1: (1, 9), 2: (2, 3, 4, 6)}
+GEOMETRY_CASES = [
+    (name, level)
+    for name in dataset_names()
+    for level in GEOMETRY_LEVELS[load_dataset(name).fiber_dimension]
+]
+
+
+class TestDualGridGeometry:
+    @staticmethod
+    def _geometry(name, level):
+        dual = load_dataset(name).dual()
+        geom = dual_grid_geometry(dual, level)
+        exact = [tuple(Fraction(int(x), geom.denominator) for x in row) for row in geom.numerators]
+        return dual, geom, exact
+
+    @pytest.mark.parametrize("name,level", GEOMETRY_CASES)
+    def test_nodes_unique_lexicographic_and_exact(self, name, level):
+        _, geom, exact = self._geometry(name, level)
+        # the banded Newton solve of the Ding minimizer relies on this order
+        assert exact == sorted(set(exact))
+        assert geom.numerators.dtype == np.int64
+        assert geom.nodes.tolist() == [[float(x) for x in z] for z in exact]
+
+    @pytest.mark.parametrize("name,level", GEOMETRY_CASES)
+    def test_cells_tile_the_dual_exactly(self, name, level):
+        dual, geom, _ = self._geometry(name, level)
+        l = geom.dimension
+        assert geom.cells.shape == (len(dual.triangulation) * 2 ** ((level - l) * l), l + 1)
+        corners = geom.numerators[geom.cells]
+        d = corners[:, 1:] - corners[:, :1]  # (C, l, l) integer edge vectors
+        det = d[:, 0, 0] if l == 1 else d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
+        assert np.all(det != 0)
+        volume = Fraction(int(np.abs(det).sum()), geom.denominator**l * factorial(l))
+        assert volume == dual.volume_exact()
+
+    @pytest.mark.parametrize("name,level", GEOMETRY_CASES)
+    def test_faces_and_vertices_exact(self, name, level):
+        dual, geom, exact = self._geometry(name, level)
+        on_face = [
+            [sum(n * x for n, x in zip(nrm, z)) == rhs for nrm, rhs in dual.half_spaces]
+            for z in exact
+        ]
+        assert geom.on_face.tolist() == on_face
+        assert [exact[i] for i in geom.vertex_node_indices] == list(dual.vertices)
+
+    def test_level_zero_is_level_one_in_1d(self, p1_fiber):
+        # k = 2^max(level - 1, 0) cells per half of [-1, 1]: level 0 splits at 0
+        g0 = dual_grid_geometry(p1_fiber.dual(), 0)
+        assert g0.nodes[:, 0].tolist() == [-1.0, 0.0, 1.0]
+        assert g0.cells.shape == (2, 2)
 
 
 class TestConvexDualGrid:

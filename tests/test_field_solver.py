@@ -98,6 +98,23 @@ class TestPath:
         assert ev["lower"] == pytest.approx(62 / 855, abs=1e-12)
         assert ev["upper"] < 0 or ev["lower"] > 0  # no sign change
 
+    @pytest.mark.parametrize("solve", [
+        lambda d: solve_path_1d(d, 0.5),
+        lambda d: find_tau0(d, boundary="lower", grid_step=0.1),
+    ], ids=["path", "tau0"])
+    def test_one_h_stats_per_solve(self, z2, monkeypatch, solve):
+        import ksm_stab.field_solver as fs
+
+        calls = []
+
+        def counted(data):
+            calls.append(data)
+            return h_stats(data)
+
+        monkeypatch.setattr(fs, "h_stats", counted)
+        solve(z2)
+        assert len(calls) == 1
+
     def test_root_insensitive_to_quadrature_tolerance(self, z1):
         r1 = solve_path_1d(z1, 0.5, tol=1e-11)
         r2 = solve_path_1d(z1, 0.5, tol=1e-13)

@@ -546,6 +546,6 @@ class TestHatWeights:
         data = load_dataset(name)
         hs = h_stats(data)
         fn = Functionals(data, sg.tau_mix(tau), normalize_field(c, hs, data.dual()), hstats=hs)
-        geom = fn.grid(level).geom
+        geom = support_grid(fn.dual, level=level).geom
         assert fn.hat_weights(geom, "g").sum() == pytest.approx(fn.gstats.volume_g, rel=1e-13)
         assert fn.hat_weights(geom, "h").sum() == pytest.approx(float(hs.volume_h_exact), rel=1e-13)
