@@ -800,11 +800,6 @@ class ConvexDualGrid:
         the lower hull of the points (z, u*)."""
         return self.exp_cells().hull_interpolant(self.nodes, self.values)
 
-    def is_psh_b(self, bound: float) -> bool:
-        """PSH_b membership flag: |u - v_{P*}| stays within ``bound`` on the
-        window boundary (grid data is always PSH and E^1)."""
-        return self.psh_b_bound() <= bound
-
     def psh_b_bound(self) -> float:
         """max |u - v_{P*}| over the window boundary (PSH_b certificate)."""
         Y = self.window

@@ -176,9 +176,10 @@ def _path_interval(data: KSMData, hs) -> tuple[Fraction, Fraction]:
     return (Fraction(-1) / (1 - bh), Fraction(1) / (1 + bh))
 
 
-def _futaki_1d(data, hs, profile, b1) -> float:
-    fld = _field_from_b1(data, hs, b1)
-    return float(g_integral(data, profile, fld, lambda zs: zs[:, 0]))
+def _futaki_1d(data, profile, fld):
+    """int z g dz over P* for a 1D field: a float, or one value per profile
+    when ``profile`` is a list of one family (see ``simplex_g_integrals``)."""
+    return g_integral(data, profile, fld, lambda zs: zs[:, 0])
 
 
 def _bracketed_root(f, a: float, b: float, tol: float, max_iter: int):
@@ -212,8 +213,8 @@ def solve_path_1d(
     hs = h_stats(data)
     lo, hi = _path_interval(data, hs)
     bh = hs.barycenter_h_exact[0]
-    I_lo = _futaki_1d(data, hs, profile, lo)
-    I_hi = _futaki_1d(data, hs, profile, hi)
+    I_lo = _futaki_1d(data, profile, _field_from_b1(data, hs, lo))
+    I_hi = _futaki_1d(data, profile, _field_from_b1(data, hs, hi))
     diag = {
         "tau": tau,
         "interval_b1": (lo, hi),
@@ -231,7 +232,8 @@ def solve_path_1d(
             diagnostics=diag,
         )
     b1, it, res, failure = _bracketed_root(
-        lambda b: _futaki_1d(data, hs, profile, b), float(lo), float(hi), tol, max_iter
+        lambda b: _futaki_1d(data, profile, _field_from_b1(data, hs, b)),
+        float(lo), float(hi), tol, max_iter,
     )
     fld = _field_from_b1(data, hs, b1)
     return SolveReport(
@@ -261,6 +263,12 @@ def find_tau0(
     (b1 at the left end), "upper", or "auto" (try lower then upper).  A tau
     grid of step ``grid_step`` records every sign change; only the first
     bracketed root is certified to |I| <= tol.  Returns (tau0 or None, report).
+
+    Each side builds its boundary field once.  The grid takes two batched
+    pushforward calls (``simplex_g_integrals`` with a list of profiles): one
+    for tau = 0, where g does not vanish at the boundary, and one for all
+    tau > 0, which share every node but the Gauss-Jacobi piece at the
+    boundary vertex.  Brent then evaluates single taus on the first bracket.
     """
     hs = h_stats(data)
     lo, hi = _path_interval(data, hs)
@@ -271,10 +279,12 @@ def find_tau0(
         fld = _field_from_b1(data, hs, b1)
 
         def I(tau_val):
-            return _futaki_1d(data, hs, tau_mix(tau_val), b1)
+            return _futaki_1d(data, tau_mix(tau_val), fld)
 
         taus = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-        vals = np.array([I(t) for t in taus])
+        vals = np.concatenate(
+            [_futaki_1d(data, [tau_mix(t) for t in ts], fld) for ts in (taus[:1], taus[1:])]
+        )
         changes = [
             (float(taus[i]), float(taus[i + 1]))
             for i in range(len(taus) - 1)

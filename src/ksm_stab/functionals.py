@@ -104,11 +104,6 @@ class FiberField:
     def k_at(self, z) -> float:
         return float(self.k_values(np.atleast_1d(np.asarray(z, dtype=float)).reshape(1, -1))[0])
 
-    def as_pl(self) -> PLConvex:
-        if self.coeffs_exact is not None:
-            return PLConvex.make([(tuple(-x for x in self.coeffs_exact), self.C_V_exact)])
-        return PLConvex.make([(tuple(Fraction(-x) for x in self.coeffs), Fraction(self.C_V))])
-
     def to_json(self) -> dict:
         if self.coeffs_exact is not None:
             return {"c": [str(x) for x in self.coeffs_exact]}
@@ -239,7 +234,7 @@ def g_weight(data: KSMData, profile: SigmaProfile, field: FiberField, z) -> floa
 OUTER_POINTS = 32  # Gauss points per t-piece of the pushforward rule
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4096)  # holds the Jacobi rules of a whole 1e-3 tau grid
 def _gauss01(n: int, e: float = 0.0):
     """n-point Gauss rule on [0, 1] for the weight s^e (Legendre when e = 0)."""
     x, w = leggauss(n) if e == 0.0 else roots_jacobi(n, 0.0, e)
@@ -284,35 +279,40 @@ def _cones(V: np.ndarray, kv: np.ndarray):
     return tuple(x[keep] for x in (np.tile(sid, 2), apex, e0, e1, vol, kap, dk))
 
 
-def _outer_rule(profile: SigmaProfile, kap: np.ndarray, dk: np.ndarray):
-    """Gauss rule in s for int_0^1 q(s) f(k_apex + s dk) ds on every cone.
+def _outer_rule(profiles: list[SigmaProfile], kap: np.ndarray, dk: np.ndarray):
+    """Gauss rule in s for int_0^1 q(s) f(k_apex + s dk) ds on every cone,
+    for a batch of T profiles of one family.
 
     Pieces break at the sample abscissae of custom profiles.  For a profile
     vanishing like (t - alpha)^e, the piece that starts at alpha carries
     Gauss-Jacobi with that weight, and a cone that only comes close to alpha
     is cut geometrically toward it (every piece at least as far from alpha
     as it is wide), where a fixed Legendre rule converges like
-    (1 + sqrt(2 delta / width))^(-2n).  Returns (cone, s, weight * f).
+    (1 + sqrt(2 delta / width))^(-2n).  The breaks and the Legendre nodes
+    depend only on the family and are shared by the batch; only the
+    Gauss-Jacobi nodes follow each profile's exponent.  Returns a list of
+    parts (cone, s, weight * f) with s of shape (1, n) when the batch shares
+    the nodes, (T, n) when it does not, and weight * f of shape (T, n).
     """
+    head, T = profiles[0], len(profiles)
     n_cones = len(kap)
     tlo, thi = np.minimum(kap, kap + dk), np.maximum(kap, kap + dk)
     near = np.where(dk > 0, 0.0, 1.0)  # the end of [0, 1] where k is lowest
     cone = [np.arange(n_cones), np.arange(n_cones)]
     s_br = [np.zeros(n_cones), np.ones(n_cones)]
-    if profile.kind == "custom":
-        ts = np.array([a for a, _ in profile.params["samples"]])
+    if head.kind == "custom":
+        ts = np.unique([a for q in profiles for a, _ in q.params["samples"]])
         i0 = np.searchsorted(ts, tlo, side="right")
         owner, rank = _ragged(np.searchsorted(ts, thi, side="left") - i0)
         cone.append(owner)
         s_br.append((ts[i0[owner] + rank] - kap[owner]) / dk[owner])
-    e = profile.boundary_exponent
     at_alpha = np.zeros(n_cones, dtype=bool)
-    if e is not None:
-        dist = tlo - profile.alpha
-        at_alpha = dist <= BOUNDARY_DETECT_TOL * (1.0 + abs(profile.alpha))
+    if head.boundary_exponent is not None:
+        dist = tlo - head.alpha
+        at_alpha = dist <= BOUNDARY_DETECT_TOL * (1.0 + abs(head.alpha))
         graded = ~at_alpha & (dist < np.abs(dk))
         counts = np.zeros(n_cones, dtype=int)
-        counts[graded] = np.ceil(np.log2((thi[graded] - profile.alpha) / dist[graded])) - 1
+        counts[graded] = np.ceil(np.log2((thi[graded] - head.alpha) / dist[graded])) - 1
         owner, rank = _ragged(counts)
         cone.append(owner)
         offset = dist[owner] * (2.0 ** (rank + 1) - 1.0) / np.abs(dk[owner])
@@ -326,18 +326,22 @@ def _outer_rule(profile: SigmaProfile, kap: np.ndarray, dk: np.ndarray):
 
     x, w = _gauss01(OUTER_POINTS)
     s = sa[~jac, None] + (sb - sa)[~jac, None] * x
-    t = kap[pc[~jac], None] + s * dk[pc[~jac], None]
-    fw = (sb - sa)[~jac, None] * w * _f_values(profile, np.clip(t, profile.alpha, None))
-    parts = [(np.repeat(pc[~jac], len(x)), s.ravel(), fw.ravel())]
+    t = np.clip(kap[pc[~jac], None] + s * dk[pc[~jac], None], head.alpha, None)
+    fw = (sb - sa)[~jac, None] * w * np.array([_f_values(q, t) for q in profiles])
+    parts = [(np.repeat(pc[~jac], len(x)), s.reshape(1, -1), fw.reshape(T, -1))]
     if np.any(jac):
-        # (t - alpha)^e = (|dk| * distance from the near end)^e
-        xj, wj = _gauss01(OUTER_POINTS, float(e))
+        # (t - alpha)^e = (|dk| * distance from the near end)^e, one rule per e
+        e = np.array([q.boundary_exponent for q in profiles])[:, None, None]
+        rules = [_gauss01(OUTER_POINTS, q.boundary_exponent) for q in profiles]
+        xj, wj = (np.array(a)[:, None] for a in zip(*rules))
         c, width = pc[jac], (sb - sa)[jac, None]
         s = np.where(dk[c, None] > 0, sa[jac, None] + width * xj, sb[jac, None] - width * xj)
         t = kap[c, None] + s * dk[c, None]
-        fw = wj * width ** (e + 1.0) * np.abs(dk[c, None]) ** e * profile.f_regular(t)
-        parts.append((np.repeat(c, len(xj)), s.ravel(), fw.ravel()))
-    return (np.concatenate(a) for a in zip(*parts))
+        fw = wj * width ** (e + 1.0) * np.abs(dk[c, None]) ** e * np.array(
+            [q.f_regular(tq) for q, tq in zip(profiles, t)]
+        )
+        parts.append((np.repeat(c, OUTER_POINTS), s.reshape(T, -1), fw.reshape(T, -1)))
+    return parts
 
 
 def simplex_g_integrals(data, profile, field, simplices, p=None) -> np.ndarray:
@@ -349,6 +353,14 @@ def simplex_g_integrals(data, profile, field, simplices, p=None) -> np.ndarray:
     (m, l) nodes and their simplex indices to (m,) or (m, q) values of
     polynomials of degree <= 2 (p = 1 when None); returns (S,) or (S, q).
 
+    ``profile`` may also be a list of T profiles of one family (the same
+    kind, alpha and beta, all with or all without a boundary exponent), such
+    as ``tau_mix`` at many tau > 0; the result then has a leading axis of
+    length T.  The cone split, the t-pieces and the Legendre nodes with h
+    and p on them are computed once for the batch; only the f values and
+    the Gauss-Jacobi piece at alpha are per profile.  A single profile is a
+    batch of one.
+
     k is affine, so by Duistermaat-Heckman the pushforward of p h dz under k
     has a piecewise polynomial density with knots at the vertex values of k,
     and each integral is one-dimensional in t = k(z): a fixed Gauss rule per
@@ -356,41 +368,68 @@ def simplex_g_integrals(data, profile, field, simplices, p=None) -> np.ndarray:
     {k = t}, exact for degree deg h + 2.  Where k is constant on S the
     integral is f(k) times the degree-exact simplex rule.
     """
+    batch = isinstance(profile, list)
+    profiles = profile if batch else [profile]
+    head, T = profiles[0], len(profiles)
     V = np.asarray(simplices, dtype=float)
     S, l = V.shape[0], V.shape[2]
     deg = data.base_dimension + 2
-    if profile is None:
+    if head is None:
         kv = np.zeros(V.shape[:2])
     else:
+        family = (head.kind, head.alpha, head.beta, head.boundary_exponent is None)
+        if any((q.kind, q.alpha, q.beta, q.boundary_exponent is None) != family for q in profiles):
+            raise ValueError("a profile batch must share kind, alpha, beta and boundary exponent")
         kv = field.k_values(V.reshape(-1, l)).reshape(S, l + 1)
-        if np.any(kv < profile.alpha - 1e-9) or np.any(kv >= profile.beta):
+        if np.any(kv < head.alpha - 1e-9) or np.any(kv >= head.beta):
             raise DomainError("potential value outside [alpha, beta) on the given simplices")
     flat = kv.max(axis=1) == kv.min(axis=1)
 
+    # parts (owner, nodes, weights) of shapes (1, n), (1 or T, n, l), (T, n):
+    # groups[0] holds the parts whose nodes the batch shares, groups[1] the
+    # parts with per-profile nodes (none in a batch of one)
+    groups = ([], [])
     ref, ref_w = _reference_rule(l, deg)
     E = V[flat, 1:] - V[flat, :1]
-    f_flat = 1.0
-    if profile is not None:
-        f_flat = _f_values(profile, np.clip(kv[flat, 0], profile.alpha, None))
-    zs = [(V[flat, None, 0] + np.einsum("nk,skj->snj", ref, E)).reshape(-1, l)]
-    ws = [(np.abs(np.linalg.det(E)) * f_flat)[:, None] * ref_w]
-    owner = [np.repeat(np.nonzero(flat)[0], len(ref_w))]
+    if head is None:
+        f_flat = np.ones((T, len(E)))
+    else:
+        k_flat = np.clip(kv[flat, 0], head.alpha, None)
+        f_flat = np.array([_f_values(q, k_flat) for q in profiles])
+    groups[0].append((
+        np.repeat(np.nonzero(flat)[0], len(ref_w))[None],
+        (V[flat, None, 0] + np.einsum("nk,skj->snj", ref, E)).reshape(1, -1, l),
+        ((np.abs(np.linalg.det(E)) * f_flat)[..., None] * ref_w).reshape(T, -1),
+    ))
     if not np.all(flat):
         sid, apex, e0, e1, vol, kap, dk = _cones(V[~flat], kv[~flat])
-        cone, s, fw = _outer_rule(profile, kap, dk)
+        cone_owner = np.nonzero(~flat)[0][sid]
         r, wr = _gauss01(1 if l == 1 else (deg + 2) // 2)
-        ray = e0[cone, None] + r[:, None] * e1[cone, None]  # (outer, inner, l)
-        zs.append((apex[cone, None] + s[:, None, None] * ray).reshape(-1, l))
-        ws.append((fw * vol[cone] * s ** (l - 1))[:, None] * wr)
-        owner.append(np.repeat(np.nonzero(~flat)[0][sid[cone]], len(r)))
-    zs, owner = np.concatenate(zs), np.concatenate(owner)
-    ws = np.concatenate([w.ravel() for w in ws]) * h_values(data, zs)
-    if p is None:
-        return np.bincount(owner, ws, minlength=S)
-    pv = np.asarray(p(zs, owner))
-    if pv.ndim == 1:
-        return np.bincount(owner, ws * pv, minlength=S)
-    return np.stack([np.bincount(owner, ws * v, minlength=S) for v in pv.T], axis=1)
+        for cone, s, fw in _outer_rule(profiles, kap, dk):
+            ray = e0[cone, None] + r[:, None] * e1[cone, None]  # (outer, inner, l)
+            groups[len(s) > 1].append((
+                np.repeat(cone_owner[cone], len(r))[None],
+                (apex[cone, None] + s[..., None, None] * ray).reshape(len(s), -1, l),
+                ((fw * vol[cone] * s ** (l - 1))[..., None] * wr).reshape(T, -1),
+            ))
+
+    # h and p once per node and the sums per simplex, one pass per group
+    out, cols = 0.0, ()
+    for group in filter(None, groups):
+        own, zs, w = (np.concatenate(a, axis=1) for a in zip(*group))
+        tz, n = zs.shape[:2]
+        zs = zs.reshape(-1, l)
+        w = w * h_values(data, zs).reshape(tz, n)
+        if p is None:
+            w = w[None]
+        else:
+            v = np.asarray(p(zs, np.broadcast_to(own, (tz, n)).ravel()))
+            cols = v.shape[1:]
+            w = w * np.moveaxis(v.reshape(tz, n, math.prod(cols)), 2, 0)  # (q, T, n)
+        idx = (own + S * np.arange(T)[:, None]).ravel()
+        out = out + np.array([np.bincount(idx, wj.ravel(), minlength=T * S) for wj in w])
+    out = out.T.reshape(T, S, *cols)
+    return out if batch else out[0]
 
 
 def g_integral(data, profile, field, poly_fn):
@@ -398,11 +437,12 @@ def g_integral(data, profile, field, poly_fn):
     ``profile`` is None).
 
     ``poly_fn`` maps an (m, l) batch to (m,) or (m, q) values of polynomials
-    of degree <= 2; returns a float or a (q,) array.
+    of degree <= 2; returns a float or a (q,) array, with a leading profile
+    axis when ``profile`` is a list (see ``simplex_g_integrals``).
     """
     out = simplex_g_integrals(
         data, profile, field, np.array(data.dual().simplex_coords()), lambda zs, _: poly_fn(zs)
-    ).sum(axis=0)
+    ).sum(axis=int(isinstance(profile, list)))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -416,10 +456,6 @@ class GStats:
     reduced_futaki: np.ndarray
     A: float
     B: float
-
-    @property
-    def futaki_norm(self) -> float:
-        return float(np.linalg.norm(self.reduced_futaki))
 
 
 def g_stats(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
+from scipy.special import roots_jacobi
 
 from ksm_stab import sigma as sg
 from ksm_stab.field_solver import (
@@ -153,6 +154,39 @@ class TestTau0:
     def test_symmetric_fiber_no_root(self, p1_fiber):
         tau0, rep = find_tau0(p1_fiber)
         assert tau0 is None
+
+    @pytest.mark.parametrize("name,sides", [("Z2", 1), ("Z1", 2)])
+    def test_one_boundary_field_per_side(self, request, monkeypatch, name, sides):
+        # the grid and Brent share the side's field: Z2 stops at its lower
+        # root, Z1 tries both sides
+        import ksm_stab.field_solver as fs
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return normalize_field(*args)
+
+        monkeypatch.setattr(fs, "normalize_field", counted)
+        find_tau0(request.getfixturevalue(name.lower()))
+        assert len(calls) == sides
+
+    def test_jacobi_rules_built_once_per_exponent(self, z1, z2, monkeypatch):
+        # the 1,000 tau > 0 of the grid need 1,000 Gauss-Jacobi rules; Z1
+        # reuses the ones Z2 built, and Brent adds a few dozen
+        import ksm_stab.functionals as fn
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return roots_jacobi(*args)
+
+        fn._gauss01.cache_clear()
+        monkeypatch.setattr(fn, "roots_jacobi", counted)
+        find_tau0(z2)
+        find_tau0(z1)
+        assert len(calls) <= 1100
 
 
 class TestGeneral:

@@ -12,6 +12,7 @@ from ksm_stab.functionals import (
     g_stats,
     g_weight,
     normalize_field,
+    simplex_g_integrals,
     stability_verdict,
 )
 from ksm_stab.ksm import h_stats
@@ -549,3 +550,68 @@ class TestHatWeights:
         geom = support_grid(fn.dual, level=level).geom
         assert fn.hat_weights(geom, "g").sum() == pytest.approx(fn.gstats.volume_g, rel=1e-13)
         assert fn.hat_weights(geom, "h").sum() == pytest.approx(float(hs.volume_h_exact), rel=1e-13)
+
+
+class TestProfileBatch:
+    @staticmethod
+    def _moments(zs, _):
+        return np.column_stack([np.ones(len(zs)), zs])
+
+    @pytest.mark.parametrize("name,c,profiles", [
+        ("Z2", [Fraction(31, 19)], [sg.tau_mix(0.25), sg.tau_mix(0.5), sg.tau_mix(1.0)]),
+        ("P2-fiber", [Fraction(1, 2), Fraction(1, 2)], [sg.tau_mix(0.25), sg.tau_mix(0.7)]),
+        ("B1", [Fraction(3, 10), Fraction(-1, 5)], [sg.linear(0.0), sg.linear(0.5)]),
+        ("Z1", [Fraction(1, 4)], [sg.custom([(-0.9, 0.9), (0.0, 0.1), (0.5, -0.4), (1.5, -1.2)])]),
+        ("Z2", [Fraction(31, 19)], [sg.mabuchi_log(1.0)]),
+        ("P2-fiber", [0, 0], [None]),
+    ])
+    def test_rows_are_single_profile_values(self, name, c, profiles):
+        from ksm_stab.datasets import load_dataset
+        from ksm_stab.ksm import make_ksm
+
+        if name == "B1":
+            data = make_ksm(1, 2, [["1/3", "0"]], [(1, 0), (0, 1), (-1, -1)], "B1")
+        else:
+            data = load_dataset(name)
+        fld = normalize_field(c, h_stats(data), data.dual())
+        simplices = np.array(data.dual().simplex_coords())
+        for p in (None, self._moments):
+            batch = simplex_g_integrals(data, profiles, fld, simplices, p)
+            singles = np.stack([simplex_g_integrals(data, q, fld, simplices, p) for q in profiles])
+            assert batch.shape == singles.shape
+            if len(profiles) == 1:  # a batch of one is the single-profile call
+                assert np.array_equal(batch, singles)
+            np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-14 * np.abs(singles).max())
+
+    @pytest.mark.parametrize("name,side", [
+        ("Z1", "lower"), ("Z1", "upper"), ("Z2", "lower"), ("Z2", "upper"),
+    ])
+    def test_tau_grid_matches_per_tau_loop(self, name, side):
+        # the find_tau0 grid: tau = 0 alone, then all 1,000 tau > 0 in one
+        # batch, against one call per tau on the boundary field
+        from ksm_stab.datasets import load_dataset
+        from ksm_stab.field_solver import path_interval_1d
+
+        data = load_dataset(name)
+        b1 = path_interval_1d(data)[side == "upper"]
+        fld = normalize_field([-b1], h_stats(data), data.dual())
+        simplices = np.array(data.dual().simplex_coords())
+        taus = np.arange(0.0, 1.0005, 1e-3)
+        fut = lambda zs, _: zs[:, 0]
+        batched = np.concatenate([
+            simplex_g_integrals(data, [sg.tau_mix(t) for t in ts], fld, simplices, fut).sum(axis=1)
+            for ts in (taus[:1], taus[1:])
+        ])
+        loop = np.array([
+            simplex_g_integrals(data, sg.tau_mix(t), fld, simplices, fut).sum() for t in taus
+        ])
+        assert np.max(np.abs(batched - loop)) <= 1e-13 * np.max(np.abs(loop))
+        changes = lambda v: list(np.nonzero((v[:-1] > 0) != (v[1:] > 0))[0])
+        assert changes(batched) == changes(loop)
+        assert changes(batched) == ([613] if (name, side) == ("Z2", "lower") else [])
+
+    def test_mixed_families_rejected(self, z2):
+        fld = normalize_field([Fraction(31, 19)], h_stats(z2), z2.dual())
+        simplices = np.array(z2.dual().simplex_coords())
+        with pytest.raises(ValueError, match="profile batch"):
+            simplex_g_integrals(z2, [sg.tau_mix(0.0), sg.tau_mix(0.5)], fld, simplices)
