@@ -6,9 +6,9 @@ primal function is recovered as u(y) = max over grid nodes z of
 (<y, z> - u*(z)), a piecewise linear convex function, so the integral of
 exp(-u) over R^l is a closed form: per segment in 1D, and in 2D per primal
 cell (triangle fans of bounded cells, strips and vertex cones of the
-unbounded ones; Lawrence, Math. Comp. 57, 1991).  Integrals are split into a
-window part on [-Y, Y]^l and a tail part; the 1D tails are exact, the 2D
-tail outside the box is a certified per-vertex-cone bound.
+unbounded ones; Lawrence, Math. Comp. 57, 1991).  These totals are exact over
+all of R^l; the window [-Y, Y]^l of a grid is only the sampling box of
+``primal_grid`` and ``psh_b_bound``.
 
 Grid values are the optimization variables of the Monge-Ampere solver; the
 module therefore also provides convexity projection (isotonic regression on
@@ -44,11 +44,10 @@ __all__ = [
 DEFAULT_LEVEL = {1: 9, 2: 6}
 DEFAULT_WINDOW = {1: 40.0, 2: 20.0}
 DEFAULT_STEP = {1: 0.02, 2: 0.25}
-TAIL_FRACTION_LIMIT = 1e-6
 
 
 class WindowTooSmallError(RuntimeError):
-    """Primal tail bound exceeds the allowed fraction of the window integral."""
+    """The exp(-u) integral diverges: the slopes of u do not straddle 0."""
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +89,6 @@ class PLConvex:
     @property
     def intercept_array(self) -> np.ndarray:
         return np.array([float(b) for _, b in self.pieces])
-
-    @property
-    def max_slope_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.slope_array, axis=1)))
-
-    @property
-    def is_affine(self) -> bool:
-        return len(set(self.pieces)) == 1
 
     def __call__(self, z):
         zz = np.asarray(z, dtype=float)
@@ -250,16 +241,6 @@ def dual_grid_geometry(dual: DualPolytope, level: int | None = None) -> DualGrid
 # ---------------------------------------------------------------------------
 
 
-def _segment_exp_mass(u_lo, u_hi, width):
-    """int_0^w exp(-(affine from u_lo to u_hi)) dt, stable for small slopes."""
-    d = u_hi - u_lo
-    if width == 0.0:
-        return 0.0
-    if abs(d) < 1e-12:
-        return width * np.exp(-u_lo) * (1.0 - d / 2.0)
-    return width * np.exp(-u_lo) * (-np.expm1(-d)) / d
-
-
 def _cross(a, b):
     """Row-wise 2D determinant det(a_k, b_k)."""
     return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
@@ -312,13 +293,40 @@ def _exp_neg_dd2(a, b, c):
     return np.exp(-lo) * out
 
 
-def pl_exp_integral_1d(slopes, intercepts, window=None, node_ids=None):
+def _upper_envelope(s, q):
+    """Upper envelope of the lines y -> s[i] y - q[i], s strictly increasing:
+    the indices of the lines on it, in slope order, and the breakpoints
+    between consecutive ones."""
+    x = np.diff(q) / np.diff(s)
+    if np.all(x[1:] > x[:-1]):
+        # strictly increasing successive breakpoints: every line is active,
+        # and these are the breakpoints the stack below would return
+        return np.arange(len(s)), x
+    # monotone stack over slopes, on Python floats
+    s, q = s.tolist(), q.tolist()
+    act: list[int] = []
+    bps: list[float] = []
+    for i in range(len(s)):
+        while act:
+            j = act[-1]
+            x = (q[i] - q[j]) / (s[i] - s[j])
+            if bps and x <= bps[-1]:
+                act.pop()
+                bps.pop()
+            else:
+                bps.append(x)
+                break
+        act.append(i)
+    return np.array(act), np.array(bps, dtype=float)
+
+
+def pl_exp_integral_1d(slopes, intercepts):
     """Integral of exp(-max_j(slopes[j] * y - intercepts[j])) over R.
 
     The lines' upper envelope is built exactly (slope order); returns a dict
-    with the total, its always-finite ``log_total``, window and tail parts,
-    per-line cell masses (zero for inactive lines), breakpoints, active line
-    ids and breakpoint fluxes.  Masses and fluxes carry a common scale
+    with the total, its always-finite ``log_total``, per-line cell masses
+    (zero for inactive lines), breakpoints, active line indices and
+    breakpoint fluxes.  Masses and fluxes carry a common scale
     exp(``mass_log_scale``) so that arbitrarily shifted data (long geodesics)
     never under/overflows; normalized masses are exact.  Diverges unless
     min slope < 0 < max slope.
@@ -326,7 +334,6 @@ def pl_exp_integral_1d(slopes, intercepts, window=None, node_ids=None):
     s = np.asarray(slopes, dtype=float)
     q = np.asarray(intercepts, dtype=float)
     n = len(s)
-    ids = np.arange(n) if node_ids is None else np.asarray(node_ids)
     order = np.lexsort((q, s))
     s_o, q_o = s[order], q[order]
     # among equal slopes only the line with the smallest intercept survives
@@ -335,27 +342,12 @@ def pl_exp_integral_1d(slopes, intercepts, window=None, node_ids=None):
     pos = order[keep]
     s_o, q_o = s_o[keep], q_o[keep]
 
-    # upper envelope of lines y -> s*y - q (monotone stack over slopes)
-    act: list[int] = []
-    bps: list[float] = []
-    for i in range(len(s_o)):
-        while act:
-            j = act[-1]
-            x = (q_o[i] - q_o[j]) / (s_o[i] - s_o[j])
-            if bps and x <= bps[-1]:
-                act.pop()
-                bps.pop()
-            else:
-                bps.append(x)
-                break
-        act.append(i)
+    act, b = _upper_envelope(s_o, q_o)
     if s_o[act[0]] >= 0 or s_o[act[-1]] <= 0:
         raise WindowTooSmallError(
             "exp integral diverges: active slopes do not straddle zero"
         )
-    act_arr = np.array(act)
-    sa, qa = s_o[act_arr], q_o[act_arr]
-    b = np.asarray(bps)
+    sa, qa = s_o[act], q_o[act]
     # u at breakpoints (value of the active line on each side, equal there)
     ub = sa[:-1] * b - qa[:-1]
 
@@ -364,7 +356,7 @@ def pl_exp_integral_1d(slopes, intercepts, window=None, node_ids=None):
     s0 = float(np.min(ub))
     qs = qa + s0  # intercepts of the shifted function u - s0
 
-    K = len(act_arr)
+    K = len(act)
     masses_active = np.zeros(K)
     masses_active[0] = np.exp(-(ub[0] - s0)) / (-sa[0])
     masses_active[-1] = np.exp(-(ub[-1] - s0)) / sa[-1]
@@ -377,60 +369,22 @@ def pl_exp_integral_1d(slopes, intercepts, window=None, node_ids=None):
         core = np.where(np.abs(d) > 1e-12, -np.expm1(-safe) / safe, 1.0 - d / 2.0)
         masses_active[1:-1] = widths * np.exp(-uL) * core
 
-    scaled_total = float(np.sum(masses_active))
-    log_total = float(np.log(scaled_total) - s0)
-
-    scaled_tail = 0.0
-    if window is not None:
-        Y = float(window)
-
-        def mass_outside(side):
-            # side = +1: [Y, inf); side = -1: (-inf, -Y]; shifted scale
-            out = 0.0
-            for k in range(K):
-                lo = b[k - 1] if k > 0 else -np.inf
-                hi = b[k] if k < K - 1 else np.inf
-                if side > 0:
-                    lo = max(lo, Y)
-                else:
-                    hi = min(hi, -Y)
-                if lo >= hi:
-                    continue
-                sk, qk = sa[k], qs[k]
-                if hi == np.inf:
-                    out += np.exp(-(sk * lo - qk)) / sk
-                elif lo == -np.inf:
-                    out += np.exp(-(sk * hi - qk)) / (-sk)
-                else:
-                    out += _segment_exp_mass(sk * lo - qk, sk * hi - qk, hi - lo)
-            return out
-
-        scaled_tail = mass_outside(+1) + mass_outside(-1)
-    scaled_window = scaled_total - scaled_tail
-
+    log_total = float(np.log(float(np.sum(masses_active))) - s0)
     masses = np.zeros(n)
-    masses[pos[act_arr]] = masses_active
-    fluxes = np.exp(-(ub - s0))
+    masses[pos[act]] = masses_active
     with np.errstate(over="ignore", under="ignore"):
         total = float(np.exp(log_total))
-        window_true = float(scaled_window * np.exp(-s0))
-        tail_true = float(scaled_tail * np.exp(-s0))
     return {
         "total": total,
         "log_total": log_total,
-        "window": window_true,
-        "tail": tail_true,
-        "tail_fraction": scaled_tail / scaled_window if scaled_window > 0 else np.inf,
         # masses and fluxes are scaled by exp(mass_log_scale) = exp(s0)
         # relative to the true exp(-u) masses; their normalized versions are
         # exact, and sum(masses) * exp(-s0) = total
         "masses": masses,
         "mass_log_scale": s0,
         "breakpoints": b,
-        "active": ids[pos[act_arr]],
-        "active_positions": pos[act_arr],
-        "active_slopes": sa,
-        "fluxes": fluxes,
+        "active": pos[act],
+        "fluxes": np.exp(-(ub - s0)),
     }
 
 
@@ -505,12 +459,9 @@ class ConvexDualGrid:
     def nodes(self) -> np.ndarray:
         return self.geom.nodes
 
-    def with_values(self, values, window=None) -> "ConvexDualGrid":
+    def with_values(self, values) -> "ConvexDualGrid":
         return ConvexDualGrid(
-            self.geom,
-            np.asarray(values, dtype=float).copy(),
-            self.window if window is None else float(window),
-            self.step,
+            self.geom, np.asarray(values, dtype=float).copy(), self.window, self.step
         )
 
     def shifted(self, c: float) -> "ConvexDualGrid":
@@ -584,15 +535,23 @@ class ConvexDualGrid:
             cache.clear()
         cache[self.values.tobytes()] = hull
 
-    def active_nodes(self) -> np.ndarray:
-        return self.exp_cells().active
-
     def primal_value(self, y) -> float | np.ndarray:
-        """u(y) = max over grid nodes of <y, z> - u*(z)."""
+        """u(y) = max over grid nodes of <y, z> - u*(z).
+
+        1D reads the active line at y off the envelope's breakpoints, and
+        takes the max with its two neighbours, which tie with it within
+        rounding near a breakpoint; 2D takes the max over the hull nodes.
+        """
         yy = np.asarray(y, dtype=float)
         single = yy.ndim <= 1
         ys = np.atleast_2d(yy.reshape(1, -1) if single else yy)
-        act = self.active_nodes()
+        cells = self.exp_cells()
+        act = cells.active
+        if self.dimension == 1:
+            k = np.searchsorted(cells.ys[:, 0], ys[:, 0])
+            near = act[np.clip(k[:, None] + np.arange(-1, 2), 0, len(act) - 1)]
+            out = np.max(ys * self.nodes[near, 0] - self.values[near], axis=1)
+            return float(out[0]) if single else out
         Z, V = self.nodes[act], self.values[act]
         out = np.empty(ys.shape[0])
         chunk = max(1, int(4_000_000 / max(len(V), 1)))
@@ -613,28 +572,17 @@ class ConvexDualGrid:
     # -- exp(-u) integrals --------------------------------------------------
 
     def exp_integral(self, *, full: bool = False) -> dict:
-        """Integral of exp(-u) over R^l split into window and tail parts.
+        """Integral of exp(-u) over all of R^l: the exact ``total``, its
+        always-finite ``log_total`` and the per-node cell ``masses`` of
+        ``exp_cells``, proportional to the true exp(-u) cell masses.
 
-        The total and the per-node cell masses are exact closed forms (1D:
-        ``pl_exp_integral_1d``; 2D: ``exp_cells``).  The 1D tail is
-        exact; the 2D tail outside the box [-Y, Y]^2 is a certified
-        per-vertex-cone bound and the window part is total - tail.  Masses
-        are proportional to the true exp(-u) cell masses.  Raises
-        WindowTooSmallError when the tail exceeds the allowed fraction of the
-        window part (skipped with ``full=True``).
+        ``full`` has no effect: the total is exact, so there is no window
+        check to skip.  It stays for callers that pass it.
         """
-        if self.dimension == 1:
-            res = pl_exp_integral_1d(self.nodes[:, 0], self.values, window=self.window)
-            keys = ("total", "log_total", "window", "tail", "tail_fraction", "masses")
-            out = {k: res[k] for k in keys}
-        else:
-            out = self._exp_integral_2d()
-        if not full and out["tail_fraction"] > TAIL_FRACTION_LIMIT:
-            raise WindowTooSmallError(
-                f"tail bound fraction {out['tail_fraction']:.3e} exceeds "
-                f"{TAIL_FRACTION_LIMIT:.0e} of the window integral; enlarge the window"
-            )
-        return out
+        cells = self.exp_cells()
+        with np.errstate(over="ignore", under="ignore"):
+            total = float(np.exp(cells.log_total))
+        return {"total": total, "log_total": cells.log_total, "masses": cells.masses}
 
     def exp_cells(self) -> ExpCells:
         """Exact log int exp(-u), the exp(-u) mass of every primal cell and
@@ -727,55 +675,6 @@ class ConvexDualGrid:
         log_total = math.log(float(np.sum(masses))) - s0
         return ExpCells(log_total, masses, act, pairs, flux, simplices, ys, us)
 
-    def _exp_integral_2d(self) -> dict:
-        cells = self.exp_cells()
-        log_total, masses = cells.log_total, cells.masses
-        # tail bound per vertex cone: on the normal cone of a dual vertex p,
-        # u(y) >= <y, p> - u*(p) = v(y) - u*(p), and outside the window box
-        # v >= M, so the cone contributes at most e^{u*(p)} (1+M) e^{-M}
-        u_at_vertices = self.values[list(self.geom.vertex_node_indices)]
-        M = self._support_min_on_box_boundary()
-        mx = float(np.max(u_at_vertices))
-        log_sum = mx + math.log(float(np.sum(np.exp(u_at_vertices - mx))))
-        log_tail = log_sum + math.log(1.0 + M) - M
-        tail_share = math.exp(min(log_tail - log_total, 0.0))
-        with np.errstate(over="ignore", under="ignore"):
-            total = float(np.exp(log_total))
-            out = {
-                "total": total,
-                "log_total": log_total,
-                "window": total * (1.0 - tail_share),
-                "tail": float(np.exp(log_tail)),
-                "tail_fraction": (
-                    tail_share / (1.0 - tail_share) if tail_share < 1.0 else math.inf
-                ),
-                "masses": masses,
-            }
-        return out
-
-    def _support_min_on_box_boundary(self) -> float:
-        """Exact min of the support function v_{P*} on the window box boundary."""
-        V = self.dual.vertex_array
-        Y = self.window
-        best = np.inf
-        corners = [(-Y, -Y), (-Y, Y), (Y, -Y), (Y, Y)]
-        segs = [(corners[0], corners[1]), (corners[1], corners[3]), (corners[3], corners[2]), (corners[2], corners[0])]
-        for (p, q) in segs:
-            p = np.array(p)
-            d = np.array(q) - p
-            a = V @ d  # affine slopes of <y(t), v_i>
-            b = V @ p
-            cand = {0.0, 1.0}
-            for i in range(len(a)):
-                for j in range(i + 1, len(a)):
-                    if a[i] != a[j]:
-                        t = (b[j] - b[i]) / (a[i] - a[j])
-                        if 0.0 < t < 1.0:
-                            cand.add(float(t))
-            for t in cand:
-                best = min(best, float(np.max(a * t + b)))
-        return best
-
     # -- dual-side utilities -------------------------------------------------
 
     def interpolate(self, z) -> float:
@@ -794,11 +693,6 @@ class ConvexDualGrid:
             if min(l0, l1, l2) >= -1e-10:
                 return float(l0 * self.values[i] + l1 * self.values[j] + l2 * self.values[k])
         raise ValueError(f"point {z} not inside the dual grid")
-
-    def biconjugate_values(self) -> np.ndarray:
-        """((u*)*)* sampled back on the grid nodes (exact for the PL model):
-        the lower hull of the points (z, u*)."""
-        return self.exp_cells().hull_interpolant(self.nodes, self.values)
 
     def psh_b_bound(self) -> float:
         """max |u - v_{P*}| over the window boundary (PSH_b certificate)."""

@@ -101,9 +101,6 @@ class FiberField:
         zs = np.asarray(zs, dtype=float)
         return -(zs @ self.c_array) + self.C_V
 
-    def k_at(self, z) -> float:
-        return float(self.k_values(np.atleast_1d(np.asarray(z, dtype=float)).reshape(1, -1))[0])
-
     def to_json(self) -> dict:
         if self.coeffs_exact is not None:
             return {"c": [str(x) for x in self.coeffs_exact]}
@@ -604,8 +601,6 @@ class Functionals:
                 "dual_part": dual_part,
                 "exp_integral": res["total"],
                 "log_exp_integral": res["log_total"],
-                "tail": res["tail"],
-                "tail_fraction": res["tail_fraction"],
             }
         return D
 
@@ -659,21 +654,11 @@ class Functionals:
     # -- geodesics ------------------------------------------------------------
 
     def geodesic_point(self, u0: ConvexDualGrid, phi: PLConvex, t: float, R=None) -> ConvexDualGrid:
-        """u_t with dual values u0* + t (phi - R).
-
-        The window grows with t times (slope bound + value range of phi over
-        P*): the exp(-u_t) plateau extends to where outer dual vertices take
-        over, which is governed by the added function's value spread, not
-        just its slopes.
-        """
+        """u_t with dual values u0* + t (phi - R)."""
         if t < 0:
             raise ValueError("geodesic parameter t must be nonnegative")
         Rv = float(phi.offset if R is None else R)
-        phi_nodes = phi(u0.nodes)
-        vals = u0.values + t * (phi_nodes - Rv)
-        spread = float(np.max(phi_nodes) - np.min(phi_nodes))
-        window = u0.window + t * (phi.max_slope_norm + spread + 0.05) + 1.0
-        return u0.with_values(vals, window=window)
+        return u0.with_values(u0.values + t * (phi(u0.nodes) - Rv))
 
     # -- coercivity probe ------------------------------------------------------
 

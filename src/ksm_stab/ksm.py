@@ -220,12 +220,19 @@ class HStats:
 
 
 def h_stats(data: KSMData) -> HStats:
-    """Volume, barycenter and KE defect of P* under h dz (l <= 2)."""
+    """Volume, barycenter and KE defect of P* under h dz (l <= 2).
+
+    Computed once per datum (polytope and curvature vectors) and kept in the
+    cache of its memoized dual polytope; the arrays are read-only.
+    """
     from .functionals import g_integral  # functionals imports this module
 
     if data.fiber_dimension > 2:
         raise PolytopeError("h statistics implemented for l <= 2 only")
     dual = data.dual()
+    key = ("h_stats", data.curvature_vectors)
+    if key in dual._cache:
+        return dual._cache[key]
     l = data.fiber_dimension
 
     moments = g_integral(data, None, None, lambda zs: np.column_stack([np.ones(len(zs)), zs]))
@@ -243,14 +250,17 @@ def h_stats(data: KSMData) -> HStats:
         defect_exact.append(integrate_polynomial_exact(dual, shifted))
     bary_exact = tuple(d / vol_exact for d in defect_exact)
 
-    return HStats(
+    barycenter = defect / vol
+    defect.flags.writeable = barycenter.flags.writeable = False
+    dual._cache[key] = HStats(
         volume_h=vol,
-        barycenter_h=defect / vol,
+        barycenter_h=barycenter,
         ke_defect=defect,
         volume_h_exact=vol_exact,
         barycenter_h_exact=bary_exact,
         ke_defect_exact=tuple(defect_exact),
     )
+    return dual._cache[key]
 
 
 def log_sum_exp(points: np.ndarray, ys: np.ndarray):

@@ -212,7 +212,6 @@ def _newton_direction(nodes: np.ndarray, grad: np.ndarray, cells: ExpCells):
 
 def minimize_ding(
     fn: Functionals,
-    init: ConvexDualGrid | None = None,
     *,
     level: int | None = None,
     window: float | None = None,
@@ -240,7 +239,7 @@ def minimize_ding(
     if tol_tv is None:
         tol_tv = DEFAULT_TOL_TV[mode]
 
-    u = init if init is not None else initial_grid(fn, level=level, window=window)
+    u = initial_grid(fn, level=level, window=window)
     V = fn.gstats.volume_g
     wg = fn.hat_weights(u.geom, "g")
     n_iter = DEFAULT_MAX_ITER if max_iter is None else max_iter

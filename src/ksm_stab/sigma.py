@@ -311,7 +311,7 @@ def check_growth(
     ts = ts[ts < profile.beta]
     if a + 1.0 < t_max:
         ts = np.sort(np.append(ts, a + 1.0))
-    ratios = np.array([profile.f(t) / (t - a) for t in ts])
+    ratios = profile.f(ts) / (ts - a)
     i = int(np.argmin(ratios))
     a0 = float(ratios[i])
     if a0 <= 0:

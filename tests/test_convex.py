@@ -15,6 +15,7 @@ from ksm_stab.convex import (
     support_grid,
 )
 from ksm_stab.datasets import dataset_names, load_dataset
+from ksm_stab.ma_solver import minimize_ding
 from ksm_stab.polytope import support_function
 
 from conftest import product_oracle_dual_values
@@ -36,10 +37,6 @@ class TestPLConvex:
             # a single piece dominates strictly inside each cell
             vals = [am[0] * mid + bm for am, bm in phi.pieces]
             assert max(vals) == phi.value_exact((mid,))
-
-    def test_affine_flag(self):
-        assert PLConvex.make([((1,), 2)]).is_affine
-        assert not PLConvex.make([((1,), 0), ((-1,), 0)]).is_affine
 
     def test_json_round_trip(self):
         phi = PLConvex.make([((Fraction(1, 3), Fraction(-2)), Fraction(1, 7))], offset=2)
@@ -70,15 +67,48 @@ class TestExpIntegral1D:
             total_from_masses = np.sum(res["masses"]) * np.exp(-res["mass_log_scale"])
             assert total_from_masses == pytest.approx(res["total"], rel=1e-12)
 
+    @pytest.mark.parametrize("level", [9, 12, 14])
+    @pytest.mark.parametrize("kind", ["convex", "pav-pooled", "noisy", "concave", "affine"])
+    def test_envelope_matches_reference_stack(self, p1_fiber, kind, level):
+        z = dual_grid_geometry(p1_fiber.dual(), level).nodes[:, 0]
+        rng = np.random.default_rng(level)
+        values = {
+            "convex": lambda: product_oracle_dual_values(z),
+            "pav-pooled": lambda: grid_from_values(
+                p1_fiber.dual(), z**2 + rng.normal(size=len(z)) / len(z), level=level
+            ).convexify().values,
+            "noisy": lambda: z**2 + 1e-3 * rng.normal(size=len(z)),
+            "concave": lambda: -(z**2),
+            "affine": lambda: 0.3 * z + 1.0,
+        }[kind]()
+        res = pl_exp_integral_1d(z, values)
+        act, bps = _reference_envelope(z, values)
+        assert np.array_equal(res["active"], act)
+        assert np.array_equal(res["breakpoints"], bps)
+        if kind == "convex":
+            assert len(act) == len(z)
+
     def test_divergent_raises(self):
         with pytest.raises(WindowTooSmallError):
             pl_exp_integral_1d(np.array([0.5, 1.0]), np.array([0.0, 0.0]))
 
-    def test_window_tail_split(self):
-        res = pl_exp_integral_1d(np.array([-1.0, 1.0]), np.array([0.0, 0.0]), window=10.0)
-        # u = |y|: tails are 2 e^{-10}, total 2
-        assert res["total"] == pytest.approx(2.0)
-        assert res["tail"] == pytest.approx(2 * np.exp(-10.0), rel=1e-12)
+
+def _reference_envelope(s, q):
+    """Upper envelope of the lines y -> s y - q, s sorted and unique: the
+    monotone stack over slopes on numpy scalars, line by line."""
+    act, bps = [], []
+    for i in range(len(s)):
+        while act:
+            j = act[-1]
+            x = (q[i] - q[j]) / (s[i] - s[j])
+            if bps and x <= bps[-1]:
+                act.pop()
+                bps.pop()
+            else:
+                bps.append(x)
+                break
+        act.append(i)
+    return np.array(act), np.array(bps)
 
 
 def _dd2_oracle(a, b, c):
@@ -228,6 +258,23 @@ class TestConvexDualGrid:
         assert res["total"] == pytest.approx(2.0, abs=2e-5)
         assert g.primal_value([0.0]) == pytest.approx(np.log(2.0), abs=1e-9)
 
+    @pytest.mark.parametrize("level", [9, 12, 14])
+    @pytest.mark.parametrize("fn_name", ["z1_soliton_fn", "z2_soliton_fn", "product_fn"])
+    def test_primal_value_1d_matches_dense_max(self, request, fn_name, level):
+        """The envelope lookup against the max over all hull nodes, on the
+        window lattice and at breakpoints and their neighbouring floats."""
+        u = minimize_ding(request.getfixturevalue(fn_name), level=level).u
+        cells = u.exp_cells()
+        b = np.random.default_rng(level).choice(cells.ys[:, 0], 500)
+        ys = np.concatenate(
+            [u.primal_grid()[0][:, 0], b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
+        )[:, None]
+        Z, V = u.nodes[cells.active], u.values[cells.active]
+        dense = np.concatenate(
+            [np.max(ys[i : i + 256] @ Z.T - V, axis=1) for i in range(0, len(ys), 256)]
+        )
+        assert np.array_equal(u.primal_value(ys), dense)
+
     def test_biconjugate_involution(self, p1_fiber, p2_fiber):
         rng = np.random.default_rng(3)
         for data, level in ((p1_fiber, 9), (p2_fiber, 4)):
@@ -239,7 +286,8 @@ class TestConvexDualGrid:
                 return np.max(zs @ sl.T + off, axis=1)
 
             g = grid_from_values(dual, vals, level=level)
-            bc = g.biconjugate_values()
+            # the lower hull of the points (z, u*): ((u*)*)* back on the nodes
+            bc = g.exp_cells().hull_interpolant(g.nodes, g.values)
             scale = 1.0 + np.abs(g.values)
             assert np.all(bc <= g.values + 1e-9 * scale)
             assert np.allclose(bc, g.values, atol=1e-6 * float(np.max(scale)))
@@ -251,12 +299,24 @@ class TestConvexDualGrid:
         assert proj.is_grid_convex()
         assert proj.convexify().values == pytest.approx(proj.values, abs=1e-12)
 
-    def test_window_too_small_error(self, p1_fiber):
+    def test_shifted_grid_total_against_mpmath(self, p1_fiber):
+        import mpmath as mp
+
         g = support_grid(p1_fiber.dual(), window=3.0)
         # push dual values so most exp(-u) mass sits outside |y| <= 3
         shifted = g.with_values(g.values + 20.0 * np.abs(g.nodes[:, 0]))
-        with pytest.raises(WindowTooSmallError):
-            shifted.exp_integral()
+        z, v = shifted.nodes[:, 0], shifted.values
+        res = shifted.exp_integral()
+        # u(y) by the dense max over every node, exp(-u) and the sum in mpmath
+        f = lambda y: mp.exp(-float(np.max(float(y) * z - v)))
+        kinks = pl_exp_integral_1d(z, v)["breakpoints"]
+        cuts = [-mp.inf, *map(mp.mpf, kinks), mp.inf]
+        with mp.workdps(30):
+            total = mp.quad(f, cuts)
+            inside = mp.quad(f, [-3, 0, 3])
+        assert inside < total / 2
+        assert res["total"] == pytest.approx(float(total), rel=1e-14)
+        assert res["log_total"] == pytest.approx(float(mp.log(total)), rel=1e-14)
 
     def test_psh_b_bound_support(self, p1_fiber):
         assert support_grid(p1_fiber.dual()).psh_b_bound() == pytest.approx(0.0, abs=1e-12)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ksm_stab import ksm
 from ksm_stab.datasets import DATASETS, load_dataset
 from ksm_stab.ksm import (
     KSMValidationError,
@@ -81,6 +82,18 @@ class TestHStats:
             # a defect that vanishes exactly is held to the rounding of the volume
             for a, b in zip(hs.ke_defect, hs.ke_defect_exact):
                 assert a == pytest.approx(float(b), rel=1e-14, abs=0 if b else 1e-14 * vol)
+
+    def test_computed_once_and_read_only(self, monkeypatch):
+        data = load_dataset("Z2")
+        first = h_stats(data)
+        calls = []
+        monkeypatch.setattr(ksm, "integrate_polynomial_exact", lambda *a: calls.append(a))
+        assert h_stats(data) is first
+        assert h_stats(load_dataset("Z2")) is first  # a fresh copy of the same datum
+        assert calls == []
+        for arr in (first.barycenter_h, first.ke_defect):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_defect_linear_in_mu(self):
         # with a single base direction the defect is linear in mu

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,6 +99,35 @@ class TestGrowth:
         prof = sg.SigmaProfile("custom", -1.0, math.inf, {}, impl)
         rep = sg.check_growth(prof)
         assert not rep.holds
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            sg.SigmaProfile("constant", -1.0, math.inf, {"c": 0.0}, sg.constant(0.0)._impl),
+            sg.SigmaProfile("linear", -1.0, math.inf, {"shift": 0.0}, sg.linear(0.0)._impl),
+            sg.mabuchi_log(1.0),
+            sg.mabuchi_log(2.5),
+            *(sg.tau_mix(tau) for tau in (0.0, 0.25, 0.5, 1.0)),
+            sg.custom([(t, -math.log(t + 1.0) - 0.3 * t) for t in np.linspace(-0.5, 3.0, 12)]),
+        ],
+        ids=lambda p: f"{p.kind}-{p.alpha}-{p.params.get('tau', p.params.get('shift', ''))}",
+    )
+    @pytest.mark.parametrize("span", [None, 2.2])
+    def test_matches_scalar_loop(self, profile, span):
+        """One vectorized f call gives the report of 401 scalar f calls."""
+        scalar = SimpleNamespace(
+            alpha=profile.alpha,
+            beta=profile.beta,
+            f=lambda ts: np.array([profile.f(t) for t in ts]),
+        )
+        t_max = None if span is None else profile.alpha + span
+        got = sg.check_growth(profile, t_max=t_max)
+        ref = sg.check_growth(scalar, t_max=t_max)
+        assert (got.holds, got.argmin_t, got.detail) == (ref.holds, ref.argmin_t, ref.detail)
+        if ref.a0 is None:
+            assert got.a0 is None
+        else:
+            assert got.a0 == pytest.approx(ref.a0, rel=1e-15, abs=0)
 
     def test_infinite_alpha_not_applicable(self):
         with pytest.raises(ValueError):
