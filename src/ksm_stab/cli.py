@@ -221,12 +221,7 @@ def _task_solve_metric(cfg, out):
     if fld is None:
         return {"solver": solve_rep.to_json(), "warning": "field solve failed"}
     fn = Functionals(data, profile, fld)
-    sol = minimize_ding(
-        fn,
-        level=cfg.get("level"),
-        window=cfg.get("window"),
-        tol_tv=cfg.get("ma_tol"),
-    )
+    sol = minimize_ding(fn, level=cfg.get("level"), tol_tv=cfg.get("ma_tol"))
     res = {
         "solver": solve_rep.to_json() if solve_rep else None,
         "metric": sol.to_json(),
@@ -241,7 +236,7 @@ def _task_solve_metric(cfg, out):
             np.column_stack([zs, u.values]),
         )
         if u.dimension == 1:
-            ys, uv = u.primal_grid()
+            ys, uv = u.primal_grid(cfg.get("window"))
             du = np.gradient(uv, ys[:, 0])
             _write_csv(out / "primal_potential.csv", ["y", "u", "du"], np.column_stack([ys, uv, du]))
     return res
@@ -487,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--plots", action="store_true", help="write CSV plot data")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
     common.add_argument("--level", type=int, help="dual grid refinement level")
-    common.add_argument("--window", type=float, help="primal window half-width")
+    common.add_argument("--window", type=float, help="half-width of the 1D primal plot")
 
     p = argparse.ArgumentParser(
         prog="ksm-stab",

@@ -7,15 +7,14 @@ primal function is recovered as u(y) = max over grid nodes z of
 exp(-u) over R^l is a closed form: per segment in 1D, and in 2D per primal
 cell (triangle fans of bounded cells, strips and vertex cones of the
 unbounded ones; Lawrence, Math. Comp. 57, 1991).  These totals are exact over
-all of R^l; the window [-Y, Y]^l of a grid is only the sampling box of
-``primal_grid`` and ``psh_b_bound``.
+all of R^l.
 
-Grid values are the optimization variables of the Monge-Ampere solver; the
-module therefore also provides convexity projection (isotonic regression on
-slopes in 1D, lower convex envelope in 2D) and, in one record for both
-dimensions (``ExpCells``), the per-cell exp(-u) masses and the fluxes of
-exp(-u) through the cell boundaries, one per lower-hull edge: the exact
-gradient and Hessian data of -log int exp(-u).
+Grid values are the optimization variables of the Monge-Ampere solver.  The
+lower hull of the points (z, u*) (``LowerHull``, one record in 1D and 2D)
+serves the convexity projection and test, and, extended by the per-cell
+exp(-u) masses and the fluxes of exp(-u) through the cell boundaries, one per
+lower-hull edge (``ExpCells``), gives the exact gradient and Hessian data of
+-log int exp(-u).
 """
 
 from __future__ import annotations
@@ -25,15 +24,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 from scipy.spatial import ConvexHull
 
-from .polytope import DualPolytope, support_function
+from .polytope import DualPolytope
 
 __all__ = [
     "PLConvex",
     "DualGridGeometry",
     "ConvexDualGrid",
+    "LowerHull",
     "ExpCells",
     "WindowTooSmallError",
     "dual_grid_geometry",
@@ -364,10 +363,7 @@ def pl_exp_integral_1d(slopes, intercepts):
         uL = sa[1:-1] * b[:-1] - qs[1:-1]
         uR = sa[1:-1] * b[1:] - qs[1:-1]
         widths = np.diff(b)
-        d = uR - uL
-        safe = np.where(d == 0, 1.0, d)
-        core = np.where(np.abs(d) > 1e-12, -np.expm1(-safe) / safe, 1.0 - d / 2.0)
-        masses_active[1:-1] = widths * np.exp(-uL) * core
+        masses_active[1:-1] = widths * _exp_neg_dd1(uL, uR)
 
     log_total = float(np.log(float(np.sum(masses_active))) - s0)
     masses = np.zeros(n)
@@ -389,48 +385,61 @@ def pl_exp_integral_1d(slopes, intercepts):
 
 
 @dataclass(frozen=True)
-class ExpCells:
-    """Exact exp(-u) data of a dual grid, the same record in 1D and 2D.
+class LowerHull:
+    """The lower hull of the points (z, u*) of a dual grid, in 1D and 2D.
 
-    The primal cells of u are indexed by the grid nodes; the lower hull of
-    the points (z, u*) has facets T (segments in 1D, triangles in 2D) with
-    gradients y_T, the primal vertices, and edges (i, j) between the nodes
-    whose cells share a boundary piece.  ``fluxes`` holds, per hull edge, the
-    integral of exp(-u) over that piece divided by |z_i - z_j|: a breakpoint
-    value in 1D, a segment or ray integral in 2D.  Masses and fluxes carry a
-    common scale: sum(masses) is proportional to exp(log_total).
+    Each facet T (a segment in 1D, a triangle in 2D) is the graph of
+    z -> <y_T, z> - u(y_T) over its simplex, so its gradient y_T is the
+    primal vertex where the facet's nodes tie.
     """
 
-    log_total: float
-    masses: np.ndarray  # (m,), zero off the hull
     active: np.ndarray  # sorted indices of the nodes on the hull
-    edges: np.ndarray  # (E, 2) node pairs
-    fluxes: np.ndarray  # (E,)
     facets: np.ndarray  # (F, l + 1) node indices
     ys: np.ndarray  # (F, l) facet gradients y_T
     us: np.ndarray  # (F,) u(y_T)
 
     def hull_interpolant(self, nodes: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return _hull_interpolant(nodes, d, self.active, self.facets, self.ys, self.us)
+        """d with its entries off the hull nodes replaced by the linear
+        interpolant over the facet each node lies on, argmax_T <y_T, z> - u(y_T)."""
+        out = np.array(d, dtype=float)
+        on_hull = np.zeros(len(nodes), dtype=bool)
+        on_hull[self.active] = True
+        off = np.flatnonzero(~on_hull)
+        chunk = max(1, 4_000_000 // len(self.us))
+        for k in range(0, len(off), chunk):
+            idx = off[k : k + chunk]
+            corners = self.facets[np.argmax(nodes[idx] @ self.ys.T - self.us, axis=1)]
+            base = nodes[corners[:, 0]]
+            span = nodes[corners[:, 1:]] - base[:, None, :]  # (n, l, l), rows are edges
+            lam = np.linalg.solve(np.swapaxes(span, 1, 2), (nodes[idx] - base)[:, :, None])[:, :, 0]
+            d0 = out[corners[:, 0]]
+            out[idx] = d0 + np.sum(lam * (out[corners[:, 1:]] - d0[:, None]), axis=1)
+        return out
+
+    def volumes(self, nodes: np.ndarray) -> np.ndarray:
+        """Exact volumes of the facets: lengths in 1D, half the cross product
+        of two edges in 2D."""
+        e = nodes[self.facets[:, 1:]] - nodes[self.facets[:, :1]]  # (F, l, l)
+        return np.abs(e[:, 0, 0] if e.shape[1] == 1 else _cross(e[:, 0], e[:, 1]) / 2)
 
 
-def _hull_interpolant(nodes, d, active, facets, ys, us) -> np.ndarray:
-    """d with its entries off the hull nodes ``active`` replaced by the linear
-    interpolant over the facet each node lies on, argmax_T <y_T, z> - u(y_T)."""
-    out = np.array(d, dtype=float)
-    on_hull = np.zeros(len(nodes), dtype=bool)
-    on_hull[active] = True
-    off = np.flatnonzero(~on_hull)
-    chunk = max(1, 4_000_000 // len(us))
-    for k in range(0, len(off), chunk):
-        idx = off[k : k + chunk]
-        corners = facets[np.argmax(nodes[idx] @ ys.T - us, axis=1)]
-        base = nodes[corners[:, 0]]
-        span = nodes[corners[:, 1:]] - base[:, None, :]  # (n, l, l), rows are edges
-        lam = np.linalg.solve(np.swapaxes(span, 1, 2), (nodes[idx] - base)[:, :, None])[:, :, 0]
-        d0 = out[corners[:, 0]]
-        out[idx] = d0 + np.sum(lam * (out[corners[:, 1:]] - d0[:, None]), axis=1)
-    return out
+@dataclass(frozen=True)
+class ExpCells(LowerHull):
+    """Exact exp(-u) data of a dual grid, the same record in 1D and 2D.
+
+    The primal cells of u are indexed by the grid nodes and the primal
+    vertices are the facet gradients y_T of the lower hull; hull edges (i, j)
+    join the nodes whose cells share a boundary piece.  ``fluxes`` holds, per
+    hull edge, the integral of exp(-u) over that piece divided by
+    |z_i - z_j|: a breakpoint value in 1D, a segment or ray integral in 2D.
+    Masses and fluxes carry a common scale: sum(masses) is proportional to
+    exp(log_total).
+    """
+
+    log_total: float
+    masses: np.ndarray  # (m,), zero off the hull
+    edges: np.ndarray  # (E, 2) node pairs
+    fluxes: np.ndarray  # (E,)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +453,6 @@ class ConvexDualGrid:
 
     geom: DualGridGeometry
     values: np.ndarray
-    window: float
-    step: float
 
     @property
     def dual(self) -> DualPolytope:
@@ -460,9 +467,7 @@ class ConvexDualGrid:
         return self.geom.nodes
 
     def with_values(self, values) -> "ConvexDualGrid":
-        return ConvexDualGrid(
-            self.geom, np.asarray(values, dtype=float).copy(), self.window, self.step
-        )
+        return ConvexDualGrid(self.geom, np.asarray(values, dtype=float).copy())
 
     def shifted(self, c: float) -> "ConvexDualGrid":
         """Add the constant c to u (subtract it from every dual value)."""
@@ -471,29 +476,17 @@ class ConvexDualGrid:
     # -- convexity ---------------------------------------------------------
 
     def is_grid_convex(self, tol: float = 1e-9) -> bool:
+        """Every node lies on the lower hull of (z, u*), to ``tol`` times
+        1 + max |u*|."""
         scale = 1.0 + float(np.max(np.abs(self.values)))
-        if self.dimension == 1:
-            z = self.nodes[:, 0]
-            sl = np.diff(self.values) / np.diff(z)
-            return bool(np.all(np.diff(sl) >= -tol * scale))
-        env = self.convexify().values
-        return bool(np.all(self.values >= env - tol * scale))
+        env = self.lower_hull().hull_interpolant(self.nodes, self.values)
+        return bool(np.all(self.values - env <= tol * scale))
 
     def convexify(self) -> "ConvexDualGrid":
-        """Project the dual values onto grid-convex ones.
-
-        1D: isotonic regression on the slope sequence (PAV), anchored to
-        preserve the mean value.  2D: lower convex envelope.
-        """
-        if self.dimension == 1:
-            z = self.nodes[:, 0]
-            dz = np.diff(z)
-            sl = isotonic_regression(np.diff(self.values) / dz).x
-            out = np.concatenate([[0.0], np.cumsum(sl * dz)]) + self.values[0]
-            out += self.values.mean() - out.mean()
-            return self.with_values(out)
-        hull = self._lower_hull_2d()
-        env = _hull_interpolant(self.nodes, self.values, *hull)
+        """Project the dual values onto grid-convex ones: the nodes above the
+        lower hull of (z, u*) are lowered onto it."""
+        hull = self.lower_hull()
+        env = hull.hull_interpolant(self.nodes, self.values)
         out = self.with_values(np.minimum(self.values, env))
         # lowering the nodes above the hull onto it keeps the hull surface
         out._store_hull(hull)
@@ -501,31 +494,34 @@ class ConvexDualGrid:
 
     # -- conjugation -------------------------------------------------------
 
-    def _lower_hull_2d(self):
-        """Lower hull of the points (z, u*): (active node indices, facet
-        node triples (F, 3), facet gradients y_T (F, 2), u(y_T) (F,)).
-
-        Each facet is the graph of z -> <y_T, z> - u(y_T) over its triangle,
-        so y_T is the primal vertex where the facet's nodes tie.
-        """
+    def lower_hull(self) -> LowerHull:
+        """The lower hull of the points (z, u*), cached by value bytes: the
+        upper envelope of the lines y -> z y - u* in 1D (the nodes are sorted
+        and unique), Qhull in 2D."""
         cached = self.geom._cache.setdefault("hulls", {}).get(self.values.tobytes())
         if cached is not None:
             return cached
-        pts = np.column_stack([self.nodes, self.values])
-        # an apex far above keeps Qhull non-degenerate for affine value sets
-        apex = np.append(
-            self.nodes.mean(axis=0),
-            self.values.max() + 10.0 * (np.ptp(self.values) + 1.0),
-        )
-        hull = ConvexHull(np.vstack([pts, apex]))
-        m = self.geom.n_nodes
-        lower = (hull.equations[:, 2] < -1e-12) & ~np.any(hull.simplices == m, axis=1)
-        simplices = hull.simplices[lower]
-        eq = hull.equations[lower]
-        ys = -eq[:, :2] / eq[:, 2:3]
-        i0 = simplices[:, 0]
+        if self.dimension == 1:
+            z = self.nodes[:, 0]
+            act, b = _upper_envelope(z, self.values)
+            facets, ys = np.column_stack([act[:-1], act[1:]]), b[:, None]
+        else:
+            pts = np.column_stack([self.nodes, self.values])
+            # an apex far above keeps Qhull non-degenerate for affine value sets
+            apex = np.append(
+                self.nodes.mean(axis=0),
+                self.values.max() + 10.0 * (np.ptp(self.values) + 1.0),
+            )
+            qh = ConvexHull(np.vstack([pts, apex]))
+            m = self.geom.n_nodes
+            lower = (qh.equations[:, 2] < -1e-12) & ~np.any(qh.simplices == m, axis=1)
+            facets = qh.simplices[lower]
+            eq = qh.equations[lower]
+            ys = -eq[:, :2] / eq[:, 2:3]
+            act = np.unique(facets)
+        i0 = facets[:, 0]
         us = np.einsum("ij,ij->i", ys, self.nodes[i0]) - self.values[i0]
-        out = (np.unique(simplices), simplices, ys, us)
+        out = LowerHull(act, facets, ys, us)
         self._store_hull(out)
         return out
 
@@ -559,10 +555,12 @@ class ConvexDualGrid:
             out[i : i + chunk] = np.max(ys[i : i + chunk] @ Z.T - V, axis=1)
         return float(out[0]) if single else out
 
-    def primal_grid(self):
-        """(y_grid, u values) on the window lattice with the stored step."""
-        n = int(round(self.window / self.step))
-        axis = np.linspace(-self.window, self.window, 2 * n + 1)
+    def primal_grid(self, window: float | None = None):
+        """(y_grid, u values) on the lattice of spacing ``DEFAULT_STEP`` over
+        the plot range [-window, window]^l (``DEFAULT_WINDOW``)."""
+        window = DEFAULT_WINDOW[self.dimension] if window is None else float(window)
+        n = int(round(window / DEFAULT_STEP[self.dimension]))
+        axis = np.linspace(-window, window, 2 * n + 1)
         if self.dimension == 1:
             return axis.reshape(-1, 1), self.primal_value(axis.reshape(-1, 1))
         Y1, Y2 = np.meshgrid(axis, axis, indexing="ij")
@@ -616,9 +614,10 @@ class ConvexDualGrid:
             us = z[act[:-1]] * b - self.values[act[:-1]]
             fluxes = res["fluxes"] / np.diff(z[act])
             return ExpCells(
-                res["log_total"], res["masses"], act, pairs, fluxes, pairs, b[:, None], us
+                act, pairs, b[:, None], us, res["log_total"], res["masses"], pairs, fluxes
             )
-        act, simplices, ys, us = self._lower_hull_2d()
+        hull = self.lower_hull()
+        act, simplices, ys, us = hull.active, hull.facets, hull.ys, hull.us
         on_face, normals = self.geom.on_face, self.dual.normal_array
         m = self.geom.n_nodes
         s0 = float(np.min(us))
@@ -673,7 +672,7 @@ class ConvexDualGrid:
             [np.linalg.norm(seg, axis=1) * seg_mean, np.linalg.norm(ray, axis=1) * ray_mass]
         ) / np.linalg.norm(self.nodes[pairs[:, 0]] - self.nodes[pairs[:, 1]], axis=1)
         log_total = math.log(float(np.sum(masses))) - s0
-        return ExpCells(log_total, masses, act, pairs, flux, simplices, ys, us)
+        return ExpCells(act, simplices, ys, us, log_total, masses, pairs, flux)
 
     # -- dual-side utilities -------------------------------------------------
 
@@ -694,49 +693,22 @@ class ConvexDualGrid:
                 return float(l0 * self.values[i] + l1 * self.values[j] + l2 * self.values[k])
         raise ValueError(f"point {z} not inside the dual grid")
 
-    def psh_b_bound(self) -> float:
-        """max |u - v_{P*}| over the window boundary (PSH_b certificate)."""
-        Y = self.window
-        if self.dimension == 1:
-            pts = np.array([[-Y], [Y]])
-        else:
-            t = np.linspace(-Y, Y, 201)
-            pts = np.vstack(
-                [
-                    np.column_stack([t, np.full_like(t, -Y)]),
-                    np.column_stack([t, np.full_like(t, Y)]),
-                    np.column_stack([np.full_like(t, -Y), t]),
-                    np.column_stack([np.full_like(t, Y), t]),
-                ]
-            )
-        u = self.primal_value(pts)
-        v = support_function(self.dual, pts)
-        return float(np.max(np.abs(u - v)))
-
 
 def grid_from_values(
     dual: DualPolytope,
     values,
     *,
     level: int | None = None,
-    window: float | None = None,
-    step: float | None = None,
 ) -> ConvexDualGrid:
     """Build a ConvexDualGrid from nodal values or a callable on nodes."""
     geom = dual_grid_geometry(dual, level)
-    l = dual.dimension
     if callable(values):
         vals = np.asarray(values(geom.nodes), dtype=float)
     else:
         vals = np.asarray(values, dtype=float)
     if vals.shape != (geom.n_nodes,):
         raise ValueError(f"expected {geom.n_nodes} nodal values, got {vals.shape}")
-    return ConvexDualGrid(
-        geom,
-        vals,
-        DEFAULT_WINDOW[l] if window is None else float(window),
-        DEFAULT_STEP[l] if step is None else float(step),
-    )
+    return ConvexDualGrid(geom, vals)
 
 
 def support_grid(dual: DualPolytope, **kw) -> ConvexDualGrid:

@@ -36,7 +36,6 @@ __all__ = [
     "h_weight",
     "h_stats",
     "reference_potential_uP",
-    "reference_potential_uP_grad",
 ]
 
 
@@ -284,10 +283,3 @@ def reference_potential_uP(data: KSMData, y) -> float | np.ndarray:
     ys = np.atleast_2d(np.atleast_1d(y).reshape(1, -1) if single else y)
     out = log_sum_exp(data.dual().lattice_array, ys)[0]
     return float(out[0]) if single else out
-
-
-def reference_potential_uP_grad(data: KSMData, y) -> np.ndarray:
-    """Gradient of u_P (the fiber moment map); maps R^l onto Int(P*)."""
-    A = data.dual().lattice_array
-    G = log_sum_exp(A, np.atleast_2d(np.asarray(y, dtype=float)))[1] @ A
-    return G[0] if np.asarray(y).ndim <= 1 else G

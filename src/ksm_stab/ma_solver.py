@@ -158,15 +158,10 @@ def _lse_conjugate(points: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", y, zs) - log_sum_exp(points, y)[0]
 
 
-def initial_grid(fn: Functionals, level=None, window=None) -> ConvexDualGrid:
+def initial_grid(fn: Functionals, level=None) -> ConvexDualGrid:
     """Default solver start: the reference potential u_P sampled on the grid."""
     A = fn.dual.lattice_array
-    return grid_from_values(
-        fn.dual,
-        lambda zs: _lse_conjugate(A, zs),
-        level=level,
-        window=window,
-    )
+    return grid_from_values(fn.dual, lambda zs: _lse_conjugate(A, zs), level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +209,6 @@ def minimize_ding(
     fn: Functionals,
     *,
     level: int | None = None,
-    window: float | None = None,
     tol_tv: float | None = None,
     max_iter: int | None = None,
     verdict_tol: float | None = None,
@@ -239,7 +233,7 @@ def minimize_ding(
     if tol_tv is None:
         tol_tv = DEFAULT_TOL_TV[mode]
 
-    u = initial_grid(fn, level=level, window=window)
+    u = initial_grid(fn, level=level)
     V = fn.gstats.volume_g
     wg = fn.hat_weights(u.geom, "g")
     n_iter = DEFAULT_MAX_ITER if max_iter is None else max_iter
@@ -248,7 +242,8 @@ def minimize_ding(
     D_val = float(wg @ u.values) / V - cells.log_total
     u_norm = u.with_values(u.values - shift)
 
-    cov = _coverage(u_norm, cells.active)
+    # the share of P* in the subgradient image of u: the lower-hull facets
+    cov = float(np.sum(cells.volumes(u.nodes)) / float(fn.dual.volume_exact()))
     reg = _regularity_report(fn, u_norm, non_uniform)
     return MASolution(
         u=u_norm,
@@ -314,24 +309,6 @@ def _descend(u: ConvexDualGrid, what: np.ndarray, tol_tv: float, max_iter: int):
     return u, cells, it, tv, float(np.max(np.abs(grad)))
 
 
-def _coverage(u: ConvexDualGrid, act: np.ndarray) -> float:
-    """Fraction of P* covered by the subgradient image of the window; ``act``
-    are the nodes on the lower hull."""
-    if u.dimension == 1:
-        z = u.nodes[:, 0]
-        span = z[act].max() - z[act].min()
-        full = z.max() - z.min()
-        return float(span / full)
-    from scipy.spatial import ConvexHull
-
-    pts = u.nodes[act]
-    if len(pts) < 3:
-        return 0.0
-    area = ConvexHull(pts).volume
-    full = float(u.dual.volume_exact())
-    return float(area / full)
-
-
 def _regularity_report(fn: Functionals, u: ConvexDualGrid, non_uniform: bool) -> dict:
     dual = fn.dual
     l = dual.dimension
@@ -377,29 +354,16 @@ def _regularity_report(fn: Functionals, u: ConvexDualGrid, non_uniform: bool) ->
 
 
 def alexandrov_measure(u: ConvexDualGrid, fn: Functionals) -> AlexandrovMeasure:
-    """MA_g(u) cell masses: (1/|P*|_g) of the g-mass of the subgradient image.
-
-    1D: the subgradient of each primal window node is its slope interval,
-    clipped to P*; 2D: each lower-hull facet of the dual data carries the
-    g-mass of its triangle at the primal point where that facet is the
-    subdifferential.  Both masses come from ``simplex_g_integrals``.
+    """MA_g(u) as point masses, exact for the piecewise linear u: each
+    lower-hull facet T of the dual data is the subdifferential of u at its
+    primal vertex y_T and carries there (1/|P*|_g) times the g-mass of its
+    simplex (``simplex_g_integrals``).
     """
     if not u.is_grid_convex(1e-7):
         raise ValueError("Alexandrov measure needs grid-convex dual values")
-    V = fn.gstats.volume_g
-    if u.dimension == 1:
-        ys, vals = u.primal_grid()
-        sl = np.diff(vals) / (ys[1, 0] - ys[0, 0])
-        z0, z1 = float(fn.dual.vertex_array.min()), float(fn.dual.vertex_array.max())
-        # slopes fall by rounding-size steps where u is affine: such a cell has
-        # an empty subgradient image, not a reversed one
-        edges = np.maximum.accumulate(np.concatenate([[z0], np.clip(sl, z0, z1), [z1]]))
-        cells = np.column_stack([edges[:-1], edges[1:]])[:, :, None]
-    else:
-        _, simplices, ys, _ = u._lower_hull_2d()
-        cells = u.nodes[simplices]
-    masses = simplex_g_integrals(fn.data, fn.profile, fn.field, cells)
-    return AlexandrovMeasure(points=ys.copy(), masses=masses / V)
+    hull = u.lower_hull()
+    masses = simplex_g_integrals(fn.data, fn.profile, fn.field, u.nodes[hull.facets])
+    return AlexandrovMeasure(points=hull.ys.copy(), masses=masses / fn.gstats.volume_g)
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,13 @@ def random_pl(rng, dim, n_pieces=4, bound=4):
     return PLConvex.make(pieces)
 
 
-def random_convex_grid(rng, dual, level=None, window=None):
+def random_convex_grid(rng, dual, level=None):
     def vals(zs):
         sl = rng.uniform(-2.5, 2.5, size=(5, zs.shape[1]))
         off = rng.uniform(-1, 1, size=5)
         return np.max(zs @ sl.T + off, axis=1)
 
-    return grid_from_values(dual, vals, level=level, window=window)
+    return grid_from_values(dual, vals, level=level)
 
 
 class TestNormalizeField:

@@ -140,19 +140,17 @@ class TestProductOracle:
 
     def test_alexandrov_tracks_density(self, product_solution, product_fn):
         # Kolmogorov distance between the Alexandrov measure and the exp(-u)
-        # distribution; bounds every per-cell mismatch by twice its value
-        from scipy.integrate import cumulative_trapezoid
-
+        # distribution; bounds every per-cell mismatch by twice its value.
+        # The atoms sit at the kinks b_k of u, and the exp(-u) mass left of
+        # b_k is that of the cells of the hull nodes up to the k-th (exact)
         am = alexandrov_measure(product_solution.u, product_fn)
         assert am.total == pytest.approx(1.0, abs=1e-6)
-        ys = am.points[:, 0]
-        h = ys[1] - ys[0]
-        res = product_solution.u.exp_integral(full=True)
-        grid = np.linspace(ys[0], ys[-1] + h, 200001)
-        uv = product_solution.u.primal_value(grid.reshape(-1, 1))
-        F_dens = cumulative_trapezoid(np.exp(-uv), grid, initial=0.0) + np.exp(-uv[0])
-        F_want = np.interp(ys + h / 2, grid, F_dens) / res["total"]
-        ks = float(np.max(np.abs(np.cumsum(am.masses) - F_want)))
+        cells = product_solution.u.exp_cells()
+        assert np.array_equal(am.points, cells.ys)
+        m = cells.masses[cells.active] / np.sum(cells.masses)
+        F_exp = np.cumsum(m)[:-1]  # at each kink
+        A = np.cumsum(am.masses)
+        ks = float(np.max(np.maximum(np.abs(A - F_exp), np.abs(A - am.masses - F_exp))))
         assert ks <= 2e-3
 
     def test_descent_from_reference(self, product_fn, product_solution):
@@ -259,11 +257,20 @@ class TestAlexandrov:
         assert am.total == pytest.approx(1.0, abs=1e-6)
         assert np.all(am.masses >= 0)
 
-    def test_nonconvex_rejected(self, product_fn):
+    def test_nonconvex_rejected(self, product_fn, p2_fiber):
         g = support_grid(product_fn.dual)
         bad = g.with_values(np.cos(9 * g.nodes[:, 0]))
         with pytest.raises(ValueError):
             alexandrov_measure(bad, product_fn)
+        fld = normalize_field([0, 0], h_stats(p2_fiber), p2_fiber.dual())
+        fn = Functionals(p2_fiber, sg.constant(0.0), fld)
+        g = support_grid(p2_fiber.dual(), level=4)
+        z1, z2 = g.nodes.T
+        for values in (np.cos(3 * z1) * np.sin(3 * z2), -(z1**2 + z2**2)):
+            bad = g.with_values(values)
+            assert not bad.is_grid_convex()
+            with pytest.raises(ValueError):
+                alexandrov_measure(bad, fn)
 
 
 class TestSubsolution:
