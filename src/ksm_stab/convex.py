@@ -319,6 +319,33 @@ def _upper_envelope(s, q):
     return np.array(act), np.array(bps, dtype=float)
 
 
+def _envelope_masses(sa, qa, b):
+    """exp(-u) masses of the cells of u(y) = max_i (sa[i] y - qa[i]), given
+    the lines active on it in slope order and the breakpoints b between
+    them: returns (masses, fluxes, log_total, s0).  Masses and the
+    breakpoint values exp(-u(b)) (fluxes) are scaled by exp(s0), s0 = min u,
+    so that arbitrarily shifted data (long geodesics) never under/overflows.
+    Diverges unless sa[0] < 0 < sa[-1]."""
+    if sa[0] >= 0 or sa[-1] <= 0:
+        raise WindowTooSmallError(
+            "exp integral diverges: active slopes do not straddle zero"
+        )
+    # u at breakpoints (value of the active line on each side, equal there)
+    ub = sa[:-1] * b - qa[:-1]
+    s0 = float(np.min(ub))
+    qs = qa + s0  # intercepts of the shifted function u - s0
+
+    masses = np.zeros(len(sa))
+    masses[0] = np.exp(-(ub[0] - s0)) / (-sa[0])
+    masses[-1] = np.exp(-(ub[-1] - s0)) / sa[-1]
+    if len(sa) > 2:
+        uL = sa[1:-1] * b[:-1] - qs[1:-1]
+        uR = sa[1:-1] * b[1:] - qs[1:-1]
+        masses[1:-1] = np.diff(b) * _exp_neg_dd1(uL, uR)
+    log_total = float(np.log(float(np.sum(masses))) - s0)
+    return masses, np.exp(-(ub - s0)), log_total, s0
+
+
 def pl_exp_integral_1d(slopes, intercepts):
     """Integral of exp(-max_j(slopes[j] * y - intercepts[j])) over R.
 
@@ -326,61 +353,34 @@ def pl_exp_integral_1d(slopes, intercepts):
     with the total, its always-finite ``log_total``, per-line cell masses
     (zero for inactive lines), breakpoints, active line indices and
     breakpoint fluxes.  Masses and fluxes carry a common scale
-    exp(``mass_log_scale``) so that arbitrarily shifted data (long geodesics)
-    never under/overflows; normalized masses are exact.  Diverges unless
-    min slope < 0 < max slope.
+    exp(``mass_log_scale``) (see ``_envelope_masses``); normalized masses
+    are exact.  Diverges unless min slope < 0 < max slope.
     """
     s = np.asarray(slopes, dtype=float)
     q = np.asarray(intercepts, dtype=float)
-    n = len(s)
     order = np.lexsort((q, s))
     s_o, q_o = s[order], q[order]
     # among equal slopes only the line with the smallest intercept survives
-    keep = np.ones(n, dtype=bool)
+    keep = np.ones(len(s), dtype=bool)
     keep[1:] = s_o[1:] != s_o[:-1]
     pos = order[keep]
     s_o, q_o = s_o[keep], q_o[keep]
 
     act, b = _upper_envelope(s_o, q_o)
-    if s_o[act[0]] >= 0 or s_o[act[-1]] <= 0:
-        raise WindowTooSmallError(
-            "exp integral diverges: active slopes do not straddle zero"
-        )
-    sa, qa = s_o[act], q_o[act]
-    # u at breakpoints (value of the active line on each side, equal there)
-    ub = sa[:-1] * b - qa[:-1]
-
-    # all exponentials are taken relative to the plateau level s0 = min u, so
-    # arbitrarily shifted data (long geodesics) never under/overflows
-    s0 = float(np.min(ub))
-    qs = qa + s0  # intercepts of the shifted function u - s0
-
-    K = len(act)
-    masses_active = np.zeros(K)
-    masses_active[0] = np.exp(-(ub[0] - s0)) / (-sa[0])
-    masses_active[-1] = np.exp(-(ub[-1] - s0)) / sa[-1]
-    if K > 2:
-        uL = sa[1:-1] * b[:-1] - qs[1:-1]
-        uR = sa[1:-1] * b[1:] - qs[1:-1]
-        widths = np.diff(b)
-        masses_active[1:-1] = widths * _exp_neg_dd1(uL, uR)
-
-    log_total = float(np.log(float(np.sum(masses_active))) - s0)
-    masses = np.zeros(n)
+    masses_active, fluxes, log_total, s0 = _envelope_masses(s_o[act], q_o[act], b)
+    masses = np.zeros(len(s))
     masses[pos[act]] = masses_active
     with np.errstate(over="ignore", under="ignore"):
         total = float(np.exp(log_total))
     return {
         "total": total,
         "log_total": log_total,
-        # masses and fluxes are scaled by exp(mass_log_scale) = exp(s0)
-        # relative to the true exp(-u) masses; their normalized versions are
-        # exact, and sum(masses) * exp(-s0) = total
+        # sum(masses) * exp(-mass_log_scale) = total
         "masses": masses,
         "mass_log_scale": s0,
         "breakpoints": b,
         "active": pos[act],
-        "fluxes": np.exp(-(ub - s0)),
+        "fluxes": fluxes,
     }
 
 
@@ -415,12 +415,6 @@ class LowerHull:
             d0 = out[corners[:, 0]]
             out[idx] = d0 + np.sum(lam * (out[corners[:, 1:]] - d0[:, None]), axis=1)
         return out
-
-    def volumes(self, nodes: np.ndarray) -> np.ndarray:
-        """Exact volumes of the facets: lengths in 1D, half the cross product
-        of two edges in 2D."""
-        e = nodes[self.facets[:, 1:]] - nodes[self.facets[:, :1]]  # (F, l, l)
-        return np.abs(e[:, 0, 0] if e.shape[1] == 1 else _cross(e[:, 0], e[:, 1]) / 2)
 
 
 @dataclass(frozen=True)
@@ -586,8 +580,8 @@ class ConvexDualGrid:
         """Exact log int exp(-u), the exp(-u) mass of every primal cell and
         the flux of every lower-hull edge (``ExpCells``).
 
-        1D: the segment masses and breakpoint values of
-        ``pl_exp_integral_1d``.  2D: u is the max of the affine pieces
+        1D: the segment masses and breakpoint values of ``_envelope_masses``
+        on the lower hull.  2D: u is the max of the affine pieces
         L_i(y) = <y, z_i> - u*_i, and the cell of node i is a polygon with the
         lower-hull gradients y_T as vertices, unbounded along the normal cone
         of P* at z_i (Lawrence's vertex-cone decomposition).  Per hull edge
@@ -606,17 +600,18 @@ class ConvexDualGrid:
         the ray of the other edge b' adds the cone |det(b', b)| exp(-u(y_T)).
         Exponents are shifted by the scale s0 = min u(y_T) = min u.
         """
-        if self.dimension == 1:
-            z = self.nodes[:, 0]
-            res = pl_exp_integral_1d(z, self.values)
-            act, b = res["active"], res["breakpoints"]
-            pairs = np.column_stack([act[:-1], act[1:]])
-            us = z[act[:-1]] * b - self.values[act[:-1]]
-            fluxes = res["fluxes"] / np.diff(z[act])
-            return ExpCells(
-                act, pairs, b[:, None], us, res["log_total"], res["masses"], pairs, fluxes
-            )
         hull = self.lower_hull()
+        if self.dimension == 1:
+            z, act = self.nodes[:, 0], hull.active
+            masses_act, fluxes, log_total, _ = _envelope_masses(
+                z[act], self.values[act], hull.ys[:, 0]
+            )
+            masses = np.zeros(len(z))
+            masses[act] = masses_act
+            return ExpCells(
+                act, hull.facets, hull.ys, hull.us, log_total, masses, hull.facets,
+                fluxes / np.diff(z[act]),
+            )
         act, simplices, ys, us = hull.active, hull.facets, hull.ys, hull.us
         on_face, normals = self.geom.on_face, self.dual.normal_array
         m = self.geom.n_nodes

@@ -13,6 +13,9 @@ Three regimes:
 * ``solve_general`` -- damped Newton on the Futaki vector itself for any
   admissible profile, with a safeguard keeping iterates strictly inside the
   admissible set and a boundary-obstruction report when they will not stay.
+
+Both Newton solvers read the volume, the Futaki vector and its analytic
+Jacobian from one pushforward call (``_moments``).
 """
 
 from __future__ import annotations
@@ -82,6 +85,31 @@ def _jsonable(obj):
 
 
 # ---------------------------------------------------------------------------
+# the Futaki vector and its Jacobian
+# ---------------------------------------------------------------------------
+
+
+def _moments(data: KSMData, profile: SigmaProfile, fld: FiberField, b) -> tuple:
+    """(vol, F, J) = int (1, z, z (z - b)^T sigma'(k)) g dz over P*, one
+    pushforward call.
+
+    With b = b_h, F is the reduced Futaki vector and J its Jacobian in c:
+    d k / d c = b_h - z, and d exp(-sigma(k)) / d k = -sigma'(k) exp(-sigma(k)).
+    sigma'(k) is constant on every level set of k, so the pushforward rule
+    integrates J as exactly as F.
+    """
+    l = fld.dimension
+
+    def columns(zs):
+        d1 = profile.evaluate(fld.k_values(zs))[1]
+        outer = zs[:, :, None] * (zs - b)[:, None, :] * d1[:, None, None]
+        return np.column_stack([np.ones(len(zs)), zs, outer.reshape(len(zs), l * l)])
+
+    m = g_integral(data, profile, fld, columns)
+    return m[0], m[1 : l + 1], m[l + 1 :].reshape(l, l)
+
+
+# ---------------------------------------------------------------------------
 # Kaehler-Ricci soliton: Newton on the convex moment integral
 # ---------------------------------------------------------------------------
 
@@ -92,31 +120,24 @@ def solve_soliton(data: KSMData, *, tol: float = 1e-12, max_iter: int = 200) -> 
     Phi(c) = int h e^{-<c,z>} is strictly convex and proper (the origin is an
     interior point of P*), so Newton with step halving converges from c = 0.
     Convergence target: ||grad Phi|| / Phi <= tol, which equals ||b_g|| for
-    the linear profile.  Phi and its derivatives are g-moments of the linear
-    profile, taken by the pushforward rule of ``g_integral``.
+    the linear profile.  With k = -<c, z> and sigma' = -1, ``_moments`` at
+    b = 0 gives (Phi, -grad Phi, -Hess Phi).
     """
     if data.fiber_dimension > 2:
         raise ValueError("soliton solve implemented for l <= 2")
     dual = data.dual()
     l = data.fiber_dimension
-    iu = np.triu_indices(l)
     profile = linear(0.0)
+    zero = np.zeros(l)
 
-    def moments(c):
+    def field(c):
         # k(z) = -<c, z>, so that g = h exp(k) = h e^{-<c,z>}
-        fld = FiberField(tuple(c), 0.0, tuple(-(dual.vertex_array @ c)))
-        m = g_integral(
-            data, profile, fld,
-            lambda zs: np.column_stack([np.ones(len(zs)), -zs, zs[:, iu[0]] * zs[:, iu[1]]]),
-        )
-        hess = np.empty((l, l))
-        hess[iu] = hess[iu[::-1]] = m[l + 1 :]
-        return m[0], m[1 : l + 1], hess
+        return FiberField(tuple(c), 0.0, tuple(-(dual.vertex_array @ c)))
 
     c = np.zeros(l)
-    phi, grad, hess = moments(c)
+    phi, F, J = _moments(data, profile, field(c), zero)
     for it in range(1, max_iter + 1):
-        res = float(np.linalg.norm(grad) / phi)
+        res = float(np.linalg.norm(F) / phi)
         if res <= tol:
             return SolveReport(
                 method="soliton",
@@ -127,20 +148,20 @@ def solve_soliton(data: KSMData, *, tol: float = 1e-12, max_iter: int = 200) -> 
                 iterations=it - 1,
                 diagnostics={"phi": phi},
             )
-        step = np.linalg.solve(hess, -grad)
+        step = np.linalg.solve(J, -F)  # -Hess Phi^{-1} grad Phi
         lam = 1.0
         while lam > 1e-12:
             cand = c + lam * step
-            phi_new, grad_new, hess_new = moments(cand)
+            trial = _moments(data, profile, field(cand), zero)
             # near the root a Newton step lowers Phi by about |grad|^2, less
             # than the rounding of Phi itself; accept within that rounding
-            if phi_new <= phi * (1.0 + 1e-14):
-                c, phi, grad, hess = cand, phi_new, grad_new, hess_new
+            if trial[0] <= phi * (1.0 + 1e-14):
+                c, (phi, F, J) = cand, trial
                 break
             lam *= 0.5
         else:
             break
-    res = float(np.linalg.norm(grad) / phi)
+    res = float(np.linalg.norm(F) / phi)
     return SolveReport(
         method="soliton",
         success=res <= tol,
@@ -335,14 +356,14 @@ def solve_general(
     max_iter: int = 100,
 ) -> SolveReport:
     """Damped Newton on the reduced Futaki vector F(c) for any admissible
-    profile; the Jacobian comes from centered differences and backtracking
-    keeps k(P*) strictly inside (alpha, beta).  Hitting the admissible-set
-    boundary yields a boundary-obstruction report with the last iterate."""
+    profile, with the analytic Jacobian of ``_moments``.  Backtracking keeps
+    k(P*) strictly inside (alpha, beta) and asks ||F|| to fall; hitting the
+    admissible-set boundary yields a boundary-obstruction report with the
+    last iterate.  Every exit reports the residual ||F|| / vol."""
     if data.fiber_dimension > 2:
         raise ValueError("general solve implemented for l <= 2")
     hs = h_stats(data)
     dual = data.dual()
-    l = data.fiber_dimension
     span = profile.beta - profile.alpha
     safeguard = MARGIN_SAFEGUARD * (span if math.isfinite(span) else 1.0)
 
@@ -351,88 +372,50 @@ def solve_general(
         lo, hi = field_domain_margins(fld, profile)
         return (lo >= safeguard and hi > 0), fld
 
-    def futaki(fld):
-        return g_integral(data, profile, fld, lambda zs: zs)
-
     c = np.asarray([float(x) for x in (c0 if hasattr(c0, "__len__") else [c0])], dtype=float)
     ok, fld = admissible(c)
     if not ok:
         raise ValueError("initial guess is not strictly admissible")
-    F = futaki(fld)
+    vol, F, J = _moments(data, profile, fld, hs.barycenter_h)
 
-    for it in range(1, max_iter + 1):
-        vol = g_integral(data, profile, fld, lambda zs: np.ones(zs.shape[0]))
+    for it in range(max_iter + 1):
         res = float(np.linalg.norm(F) / vol)
-        if res <= tol:
+        if res <= tol or it == max_iter:
             return SolveReport(
                 method="general",
-                success=True,
-                message="converged",
+                success=res <= tol,
+                message="converged" if res <= tol else "iteration cap hit",
                 coefficients=tuple(float(x) for x in c),
                 residual=res,
-                iterations=it - 1,
+                iterations=it,
                 margins=field_domain_margins(fld, profile),
                 diagnostics={"volume_g": vol},
             )
-        # centered-difference Jacobian with admissibility-respecting steps
-        J = np.empty((l, l))
-        for j in range(l):
-            h = 1e-6 * (1.0 + abs(c[j]))
-            while h > 1e-14:
-                cp, cm = c.copy(), c.copy()
-                cp[j] += h
-                cm[j] -= h
-                okp, fp = admissible(cp)
-                okm, fm = admissible(cm)
-                if okp and okm:
-                    J[:, j] = (futaki(fp) - futaki(fm)) / (2 * h)
-                    break
-                h *= 0.25
-            else:
-                return _obstruction_report(c, F, it, fld, profile)
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             step = -F
         lam = 1.0
-        accepted = False
         while lam > 1e-10:
             cand = c + lam * step
             ok, fld_c = admissible(cand)
             if ok:
-                F_c = futaki(fld_c)
-                if np.linalg.norm(F_c) <= (1 - 1e-4 * lam) * np.linalg.norm(F):
-                    c, fld, F = cand, fld_c, F_c
-                    accepted = True
+                trial = _moments(data, profile, fld_c, hs.barycenter_h)
+                if np.linalg.norm(trial[1]) <= (1 - 1e-4 * lam) * np.linalg.norm(F):
+                    c, fld, (vol, F, J) = cand, fld_c, trial
                     break
             lam *= 0.5
-        if not accepted:
-            return _obstruction_report(c, F, it, fld, profile)
-    vol = g_integral(data, profile, fld, lambda zs: np.ones(zs.shape[0]))
-    res = float(np.linalg.norm(F) / vol)
-    return SolveReport(
-        method="general",
-        success=res <= tol,
-        message="converged" if res <= tol else "iteration cap hit",
-        coefficients=tuple(float(x) for x in c),
-        residual=res,
-        iterations=max_iter,
-        margins=field_domain_margins(fld, profile),
-    )
-
-
-def _obstruction_report(c, F, it, fld, profile) -> SolveReport:
-    lo, hi = field_domain_margins(fld, profile)
-    return SolveReport(
-        method="general",
-        success=False,
-        message=(
-            "boundary obstruction: iterates cannot reduce the Futaki vector "
-            "without leaving the admissible set"
-        ),
-        coefficients=tuple(float(x) for x in c),
-        residual=float(np.linalg.norm(F)),
-        iterations=it,
-        margins=(lo, hi),
-        diagnostics={"last_futaki": [float(x) for x in F]},
-    )
+        else:
+            return SolveReport(
+                method="general",
+                success=False,
+                message=(
+                    "boundary obstruction: iterates cannot reduce the Futaki vector "
+                    "without leaving the admissible set"
+                ),
+                coefficients=tuple(float(x) for x in c),
+                residual=res,
+                iterations=it + 1,
+                margins=field_domain_margins(fld, profile),
+                diagnostics={"last_futaki": [float(x) for x in F]},
+            )

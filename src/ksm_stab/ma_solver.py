@@ -66,7 +66,6 @@ class MASolution:
     ding_value: float
     residual_tv: float
     residual_sup: float
-    gradient_image_coverage: float
     shift: float
     iterations: int
     converged: bool
@@ -78,7 +77,6 @@ class MASolution:
             "ding_value": self.ding_value,
             "residual_tv": self.residual_tv,
             "residual_sup": self.residual_sup,
-            "gradient_image_coverage": self.gradient_image_coverage,
             "shift": self.shift,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -242,15 +240,12 @@ def minimize_ding(
     D_val = float(wg @ u.values) / V - cells.log_total
     u_norm = u.with_values(u.values - shift)
 
-    # the share of P* in the subgradient image of u: the lower-hull facets
-    cov = float(np.sum(cells.volumes(u.nodes)) / float(fn.dual.volume_exact()))
     reg = _regularity_report(fn, u_norm, non_uniform)
     return MASolution(
         u=u_norm,
         ding_value=D_val,
         residual_tv=tv,
         residual_sup=sup,
-        gradient_image_coverage=cov,
         shift=shift,
         iterations=it,
         converged=tv <= tol_tv,

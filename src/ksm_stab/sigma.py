@@ -172,7 +172,7 @@ def tau_mix(tau: float) -> SigmaProfile:
 def custom(samples) -> SigmaProfile:
     """Monotone cubic interpolation of (t, sigma) samples; open sample range.
 
-    Derivatives use centered differences with step 1e-5 * (range); the
+    sigma' and sigma'' are the exact derivatives of the interpolant; the
     admissibility report flags such profiles as numeric-only.
     """
     from scipy.interpolate import PchipInterpolator
@@ -185,17 +185,10 @@ def custom(samples) -> SigmaProfile:
     if np.any(np.diff(ts) <= 0):
         raise ValueError("custom sample abscissae must be strictly increasing")
     interp = PchipInterpolator(ts, vs, extrapolate=False)
-    scale = ts[-1] - ts[0]
-    h = 1e-5 * scale
+    d1, d2 = interp.derivative(1), interp.derivative(2)
 
     def impl(t):
-        v = interp(t)
-        # centered stencil, shifted inward near the sample-range ends
-        tc = np.clip(t, ts[0] + h, ts[-1] - h)
-        vl, vc, vh = interp(tc - h), interp(tc), interp(tc + h)
-        d1 = (vh - vl) / (2 * h)
-        d2 = (vh - 2 * vc + vl) / h**2
-        return v, d1, d2
+        return interp(t), d1(t), d2(t)
 
     return SigmaProfile(
         "custom", float(ts[0]), float(ts[-1]), {"samples": tuple(pts)}, impl
@@ -263,7 +256,8 @@ def check_admissible(
     _, d1, d2 = profile.evaluate(ts)
     max_d1 = float(np.max(d1))
     min_d2 = float(np.min(d2))
-    # tolerance absorbs the centered-difference noise of custom profiles
+    # the cubic coefficients of a custom interpolant are rounded: samples of a
+    # linear sigma give |sigma''| up to about 3e-10 instead of 0
     tol = 1e-7 if profile.kind == "custom" else 0.0
     cond_i = max_d1 <= tol and min_d2 >= -tol
     cond_ii = min_d2 > tol

@@ -86,6 +86,36 @@ class TestExpIntegral1D:
         assert np.array_equal(res["breakpoints"], bps)
         if kind == "convex":
             assert len(act) == len(z)
+        # exp_cells reads the same envelope off the lower-hull record
+        cells = grid_from_values(p1_fiber.dual(), values, level=level).exp_cells()
+        assert np.array_equal(cells.active, act)
+        assert np.array_equal(cells.ys[:, 0], bps)
+        assert np.array_equal(cells.masses, res["masses"])
+        assert cells.log_total == res["log_total"]
+        assert np.array_equal(cells.fluxes, res["fluxes"] / np.diff(z[act]))
+
+    def test_one_envelope_per_line_search_trial(self, z1_soliton_fn, monkeypatch):
+        # every trial convexifies, which builds the envelope once; exp_cells
+        # and the Newton direction read it from the hull cache
+        import ksm_stab.convex as cv
+
+        calls = {"envelope": 0, "convexify": 0}
+        envelope, convexify = cv._upper_envelope, cv.ConvexDualGrid.convexify
+
+        def counted_envelope(*args):
+            calls["envelope"] += 1
+            return envelope(*args)
+
+        def counted_convexify(self):
+            calls["convexify"] += 1
+            return convexify(self)
+
+        monkeypatch.setattr(cv, "_upper_envelope", counted_envelope)
+        monkeypatch.setattr(cv.ConvexDualGrid, "convexify", counted_convexify)
+        dual_grid_geometry(z1_soliton_fn.dual, 12)._cache.pop("hulls", None)
+        sol = minimize_ding(z1_soliton_fn, level=12)
+        assert sol.converged
+        assert calls["envelope"] == calls["convexify"] >= sol.iterations
 
     def test_segment_masses_finite_on_raw_values(self, p1_fiber):
         """Raw, non-convex values give segments whose ends differ by far more

@@ -8,6 +8,7 @@ from scipy.special import roots_jacobi
 
 from ksm_stab import sigma as sg
 from ksm_stab.field_solver import (
+    _moments,
     find_tau0,
     path_interval_1d,
     solve_general,
@@ -203,10 +204,17 @@ class TestGeneral:
         assert rep.coefficients[0] == pytest.approx(-path.diagnostics["b1"], abs=1e-8)
 
     def test_z2_mabuchi_boundary_obstruction(self, z2):
-        rep = solve_general(z2, sg.mabuchi_log(1.0), [0.0])
+        prof = sg.mabuchi_log(1.0)
+        rep = solve_general(z2, prof, [0.0])
         assert not rep.success
         assert "boundary obstruction" in rep.message
         assert rep.coefficients is not None  # last iterate reported
+        # the residual is ||F|| / vol, as on every other exit
+        fld = normalize_field(list(rep.coefficients), h_stats(z2), z2.dual())
+        vol = g_stats(z2, prof, fld).volume_g
+        fut = np.linalg.norm(rep.diagnostics["last_futaki"])
+        assert rep.residual == pytest.approx(fut / vol, rel=1e-12)
+        assert abs(vol - 1.0) > 0.1
 
     def test_solution_passes_verdict(self, z1):
         from ksm_stab.functionals import stability_verdict
@@ -225,6 +233,80 @@ class TestGeneral:
         rep = solve_general(p2_fiber, sg.linear(0.0), [0.1, -0.1])
         assert rep.success
         assert np.linalg.norm(rep.coefficients) < 1e-8
+
+    @pytest.mark.parametrize("case", ["tau0.1", "tau0.5", "mabuchi", "pchip", "B1-linear"])
+    def test_jacobian_against_centered_differences(self, request, case):
+        data = request.getfixturevalue("b1" if case == "B1-linear" else "z1")
+        prof = {
+            "tau0.1": sg.tau_mix(0.1),
+            "tau0.5": sg.tau_mix(0.5),
+            "mabuchi": sg.mabuchi_log(1.0),
+            "pchip": _pchip_tau_mix_half(),
+            "B1-linear": sg.linear(0.0),
+        }[case]
+        c = np.array([0.2, -0.1] if case == "B1-linear" else [0.3])
+        hs = h_stats(data)
+
+        def moments(c):
+            fld = normalize_field(list(c), hs, data.dual())
+            return _moments(data, prof, fld, hs.barycenter_h)
+
+        J = moments(c)[2]
+        fd = np.empty_like(J)
+        for j in range(len(c)):
+            e = np.zeros(len(c))
+            e[j] = 1e-5
+            fd[:, j] = (moments(c + e)[1] - moments(c - e)[1]) / 2e-5
+        # the differences agree to 7e-12 - 4e-11 relative
+        assert np.linalg.norm(J - fd) <= 1e-6 * np.linalg.norm(J)
+
+    @pytest.mark.parametrize("name,prof,c0", [
+        ("z1", sg.tau_mix(0.5), [0.0]),
+        ("b1", sg.linear(0.0), [0.0, 0.0]),
+        ("z2", sg.mabuchi_log(1.0), [0.0]),
+    ], ids=["Z1-tau0.5", "B1-linear", "Z2-mabuchi"])
+    def test_one_pushforward_call_per_trial(self, request, monkeypatch, name, prof, c0):
+        # every admissible trial takes one g_integral call for F, J and vol,
+        # and the start takes one; the admissibility test builds the field of
+        # every trial
+        import ksm_stab.field_solver as fs
+
+        calls = {"g": 0, "field": 0}
+
+        def counted(key, f):
+            def wrapped(*args):
+                calls[key] += 1
+                return f(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(fs, "g_integral", counted("g", fs.g_integral))
+        monkeypatch.setattr(fs, "normalize_field", counted("field", fs.normalize_field))
+        rep = solve_general(request.getfixturevalue(name), prof, c0)
+        if rep.success:
+            # full Newton steps from the start: one trial per iteration
+            assert calls["g"] == calls["field"] == rep.iterations + 1
+        else:
+            assert "boundary obstruction" in rep.message
+            assert calls["g"] <= calls["field"]
+
+    def test_pchip_profile_matches_tau_mix_root(self, z1):
+        ref, prof = sg.tau_mix(0.5), _pchip_tau_mix_half()
+        rep_ref = solve_general(z1, ref, [0.0])
+        rep = solve_general(z1, prof, [0.0])
+        assert rep.success and rep.iterations == rep_ref.iterations
+        # the root moves by at most the interpolation error of sigma on the
+        # root field's k range (2.1e-8; the measured shift is 2.6e-10)
+        fld = normalize_field(list(rep_ref.coefficients), h_stats(z1), z1.dual())
+        ts = np.linspace(fld.k_min, fld.k_max, 10_001)
+        err = float(np.max(np.abs(prof(ts) - ref(ts))))
+        assert abs(rep.coefficients[0] - rep_ref.coefficients[0]) <= err
+
+
+def _pchip_tau_mix_half():
+    """A custom (PCHIP) profile sampled from tau_mix(0.5) at 400 points."""
+    ts = np.linspace(-0.95, 2.0, 400)
+    return sg.custom(list(zip(ts, sg.tau_mix(0.5).evaluate(ts)[0])))
 
 
 def test_report_json_serializable(z1):

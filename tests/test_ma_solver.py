@@ -199,9 +199,6 @@ class TestSolitonPipeline:
         bg = float(m @ z1_solution.u.nodes[:, 0])
         assert abs(bg) <= 1e-4
 
-    def test_coverage(self, z1_solution):
-        assert z1_solution.gradient_image_coverage == pytest.approx(1.0, abs=1e-6)
-
     def test_unstable_refused(self, unstable_z1_fn):
         with pytest.raises(UnstableInputError) as err:
             minimize_ding(unstable_z1_fn)
